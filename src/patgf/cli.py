@@ -5,7 +5,8 @@ Verbs: count, series, gf, verify, table.  Pattern syntax: compact digits
 sets are semicolon-separated.  PATGF_MAX_N overrides the census bound.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 feasibility refusal, 4 engine error.
+3 feasibility refusal, 4 engine error, 5 internal error (an unexpected
+exception, reported on stderr; never 1, which means only that a check failed).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .engine import (
     GfResult,
@@ -32,8 +34,26 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_TOO_LARGE = 3
 EXIT_ENGINE = 4
+EXIT_INTERNAL = 5
 
 PATTERN_132 = (1, 3, 2)
+
+
+def _int_at_least(least: int):
+    """An argparse type: an integer no smaller than `least`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return parse
+
+
+_COUNT = _int_at_least(0)
+_WORKERS = _int_at_least(1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,13 +70,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="patterns required at least once")
         p.add_argument("--implicit-132", action="store_true", dest="implicit_132",
                        help="adjoin 132 to the avoid set (engine semantics)")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_WORKERS, default=1)
         p.add_argument("--max-n", type=int, default=None, dest="max_n",
                        help="override the census feasibility bound")
         if with_n:
-            p.add_argument("--n", type=int, required=True)
+            p.add_argument("--n", type=_COUNT, required=True)
         else:
-            p.add_argument("--order", type=int, default=10)
+            p.add_argument("--order", type=_COUNT, default=10)
         p.add_argument("--json", action="store_true")
 
     p_count = sub.add_parser("count", help="exhaustive census count at one length")
@@ -77,9 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run self-verification suites")
     p_verify.add_argument("--suite", required=True, choices=list(SUITE_NAMES) + ["all"])
-    p_verify.add_argument("--order", type=int, default=16)
-    p_verify.add_argument("--max-n", type=int, default=9, dest="max_n")
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument("--order", type=_COUNT, default=16)
+    p_verify.add_argument("--max-n", type=_COUNT, default=9, dest="max_n")
+    p_verify.add_argument("--workers", type=_WORKERS, default=1)
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--out", help="also write the JSON report to a file")
 
@@ -89,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--k", type=int, required=True)
     p_table.add_argument("--k-max", type=int, default=None, dest="k_max")
     p_table.add_argument("--l", type=int)
-    p_table.add_argument("--order", type=int, default=10)
+    p_table.add_argument("--order", type=_COUNT, default=10)
     p_table.add_argument("--json", action="store_true")
     return parser
 
@@ -236,6 +256,10 @@ def main(argv=None) -> int:
     except PatgfError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ENGINE
+    except Exception as exc:  # a defect: report it, and keep exit 1 for failed checks
+        traceback.print_exc(limit=-5)
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -4,11 +4,19 @@ A permutation of length n is a tuple of the integers 1..n.  A pattern is just
 a (usually short) permutation; the empty tuple is the empty pattern and occurs
 exactly once in everything.
 
-The census is the ground truth for the whole package: it walks S_n
-exhaustively (lexicographically, pruning branches whose prefix already
-contains an avoided pattern, which cannot change the count) and tallies
-permutations meeting occurrence constraints exactly.  Everything symbolic in
-the other modules is ultimately checked against it.
+The census is the ground truth for the whole package: it counts exactly the
+permutations meeting the occurrence constraints, and everything symbolic in
+the other modules is ultimately checked against it.  It walks a generating
+tree (West 1995; Zeilberger 1998) depth first: a node of length m has up to
+m+1 children, one for each new last value j, with the entries >= j raised by
+one.  The tree holds the permutations that avoid every avoided pattern and
+hold each exactly-once pattern at most once, a class closed under deleting
+entries, so a node outside it is pruned with its whole subtree.  A child's
+occurrence counts are its parent's plus the occurrences ending at its new
+entry, the only search the walk makes.  Each node is tallied at its own
+length, so one walk counts every length up to n.  `census_reference`, a
+plain lexicographic walk of S_n checked leaf by leaf, is the oracle the
+tests hold the census to.
 
 Text format shared with the CLI: a pattern is a compact digit string ("132")
 when all values are single digits, otherwise comma-separated values
@@ -21,6 +29,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from math import inf
 from typing import Iterable, Sequence
 
 from .errors import DuplicateEntries, LengthTooLarge, ParseError, PreconditionViolated
@@ -203,53 +212,197 @@ def avoids_all(p: Sequence[int], patterns: Iterable[Pattern]) -> bool:
     return all(not contains(p, t) for t in patterns)
 
 
-def _completes(prefix: list[int], v: int, t: Pattern) -> bool:
-    """Does appending v to prefix create an occurrence of t ending at v?"""
+def _ending_plan(t: Pattern) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """How `_count_ending` places t: its length, and for each entry but the
+    last, the index of the entry already placed (an earlier one, or the last)
+    whose value bounds it from below and from above, -1 where none does."""
     k = len(t)
-    if k == 1:
-        return True
-    if k > len(prefix) + 1:
-        return False
-    chosen: list[int | None] = [None] * k
-    chosen[k - 1] = v
-    m = len(prefix)
-
-    def rec(j: int, start: int) -> bool:
-        if j == k - 1:
-            return True
-        lo, hi = 0, 1 << 30
-        tj = t[j]
-        for i in range(k):
-            w = chosen[i]
-            if w is None:
-                continue
-            if t[i] < tj:
-                if w > lo:
-                    lo = w
-            elif w < hi:
-                hi = w
-        need = (k - 1) - j
-        for pos in range(start, m - need + 1):
-            w = prefix[pos]
-            if lo < w < hi:
-                chosen[j] = w
-                if rec(j + 1, pos + 1):
-                    return True
-                chosen[j] = None
-        return False
-
-    return rec(0, 0)
+    below, above = [], []
+    for i in range(k - 1):
+        placed = list(range(i)) + [k - 1]
+        lower = [h for h in placed if t[h] < t[i]]
+        upper = [h for h in placed if t[h] > t[i]]
+        below.append(max(lower, key=lambda h: t[h]) if lower else -1)
+        above.append(min(upper, key=lambda h: t[h]) if upper else -1)
+    return k, tuple(below), tuple(above)
 
 
-def _census_branch(avoid: tuple[Pattern, ...], exactly: tuple[Pattern, ...],
-                   atleast: tuple[Pattern, ...], n: int, first: int | None) -> int:
-    """Count the completions of one first-value branch (or all of S_n).
+def _count_ending(p: Sequence[int], v: float, plan, cap: int) -> int:
+    """Occurrences of a pattern in p followed by a new last entry of value v
+    that use that entry, counted up to cap; `plan` is `_ending_plan(t)`.
 
-    The walk is depth-first in lexicographic order.  A value extending the
-    current prefix is rejected as soon as it completes an occurrence of an
-    avoided pattern, which skips every permutation with that prefix; since any
-    occurrence survives in all completions, no counted permutation is lost.
+    The entries of p are distinct and positive, and v differs from all of
+    them.  The census passes v = j - 1/2 for the child whose new last value
+    is j, so no child is built to search it: the entries of p below j stay
+    below the new entry, and the entries the child raises stay above it.
     """
+    k, below, above = plan
+    m = len(p)
+    if k == 1:
+        return 1
+    if k - 1 > m:
+        return 0
+    chosen = [0] * k
+    chosen[k - 1] = v
+    last = k - 2
+    count = 0
+
+    def rec(i: int, start: int) -> bool:
+        nonlocal count
+        b, a = below[i], above[i]
+        lo = chosen[b] if b >= 0 else 0
+        hi = chosen[a] if a >= 0 else inf
+        if i == last:
+            for pos in range(start, m):
+                if lo < p[pos] < hi:
+                    count += 1
+                    if count >= cap:
+                        return True
+            return False
+        for pos in range(start, m - last + i):
+            w = p[pos]
+            if lo < w < hi:
+                chosen[i] = w
+                if rec(i + 1, pos + 1):
+                    return True
+        return False
+
+    rec(0, 0)
+    return count
+
+
+# A node of the generating tree is (p, once, seen): a permutation p, the
+# number of occurrences in p of each exactly-once pattern (0 or 1), and
+# whether each at-least-once pattern occurs in p.  `rules` holds the plans of
+# the avoid, exactly-once and at-least-once patterns.
+
+def _counted(node) -> bool:
+    """Does the node's permutation meet the query, not only stay in the class?"""
+    _, once, seen = node
+    return all(once) and all(seen)
+
+
+def _children(node, rules):
+    """The children of a node: p followed by each new last value j that keeps
+    the class, the entries of p that are >= j raised by one."""
+    p, once, seen = node
+    avoid, exactly, atleast = rules
+    for j in range(1, len(p) + 2):
+        v = j - 0.5
+        for plan in avoid:
+            if _count_ending(p, v, plan, 1):
+                break
+        else:
+            counts = tuple(c + _count_ending(p, v, plan, 2 - c)
+                           for plan, c in zip(exactly, once))
+            if 2 in counts:
+                continue
+            found = tuple(s or _count_ending(p, v, plan, 1) == 1
+                          for plan, s in zip(atleast, seen))
+            child = [w + (w >= j) for w in p]
+            child.append(j)
+            yield child, counts, found
+
+
+def _walk(node, rules, order: int, tally: list[int]) -> None:
+    """Tally the node and every node below it, down to length `order`, at its length."""
+    m = len(node[0])
+    tally[m] += _counted(node)
+    if m < order:
+        for child in _children(node, rules):
+            _walk(child, rules, order, tally)
+
+
+def _walk_task(args) -> list[int]:
+    node, rules, order = args
+    tally = [0] * (order + 1)
+    _walk(node, rules, order, tally)
+    return tally
+
+
+# With workers > 1, the frontier grows level by level until it holds this
+# many subtrees per worker, so that subtrees of unequal size even out.
+_SUBTREES_PER_WORKER = 8
+
+
+def _tree_series(query: PatternQuery, order: int, workers: int) -> list[int]:
+    """Counts at lengths 0..order from one walk of the generating tree."""
+    if any(len(t) == 0 for t in query.avoid):
+        return [0] * (order + 1)  # the empty pattern occurs in every permutation
+    # The empty pattern occurs exactly once in everything: vacuous constraint.
+    exactly = tuple(t for t in query.exactly_once if t)
+    atleast = tuple(t for t in query.at_least_once if t)
+    rules = tuple(tuple(_ending_plan(t) for t in patterns)
+                  for patterns in (query.avoid, exactly, atleast))
+    tally = [0] * (order + 1)
+    frontier = [((), (0,) * len(exactly), (False,) * len(atleast))]
+    depth = 0
+    while (workers > 1 and depth < order
+           and 0 < len(frontier) < _SUBTREES_PER_WORKER * workers):
+        tally[depth] += sum(map(_counted, frontier))
+        frontier = [child for node in frontier for child in _children(node, rules)]
+        depth += 1
+    if workers > 1 and depth < order and frontier:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(_walk_task, [(node, rules, order) for node in frontier])
+            for part in parts:
+                tally = [a + b for a, b in zip(tally, part)]
+    else:
+        for node in frontier:
+            _walk(node, rules, order, tally)
+    return tally
+
+
+def census(query: PatternQuery, n: int, *, bound: int | None = None,
+           workers: int = 1) -> int:
+    """f_{A;B}^C(n): exhaustive count over S_n for the given constraints.
+
+    The count is the last entry of `census_series(query, n)`: one walk of the
+    generating tree counts every length up to n.  Raises LengthTooLarge past
+    the feasibility bound (default 10, or PATGF_MAX_N) so that an infeasible
+    run is a deliberate decision, and PreconditionViolated for a negative n
+    or workers < 1.
+    """
+    return census_series(query, n, bound=bound, workers=workers)[n]
+
+
+def census_series(query: PatternQuery, order: int, *, bound: int | None = None,
+                  workers: int = 1) -> list[int]:
+    """[f(0), f(1), ..., f(order)] for the query, from one walk of the
+    generating tree.
+
+    With workers > 1 the tree is grown level by level in this process until
+    its frontier holds a few subtrees per worker; one process pool then walks
+    those subtrees, and the tallies are added, so the result is identical.
+    """
+    limit = feasibility_bound(bound)
+    if order > limit:
+        raise LengthTooLarge(order, limit)
+    if order < 0:
+        raise PreconditionViolated("census length must be non-negative")
+    if workers < 1:
+        raise PreconditionViolated(f"workers must be at least 1, got {workers}")
+    return _tree_series(query, order, workers)
+
+
+def census_reference(query: PatternQuery, n: int) -> int:
+    """f_{A;B}^C(n) by a plain single-process walk of S_n: the oracle that
+    the tests hold `census` and `census_series` to.
+
+    The walk is depth-first in lexicographic order, one length at a time.  A
+    value extending the current prefix is rejected as soon as it completes an
+    occurrence of an avoided pattern, which skips every permutation with that
+    prefix; since any occurrence survives in all completions, no counted
+    permutation is lost.  Each permutation reached is then checked against
+    the exactly-once and at-least-once sets with `count_occurrences`.
+    """
+    if n < 0:
+        raise PreconditionViolated("census length must be non-negative")
+    if any(len(t) == 0 for t in query.avoid):
+        return 0
+    exactly = tuple(t for t in query.exactly_once if t)
+    atleast = tuple(t for t in query.at_least_once if t)
+    avoid = tuple(_ending_plan(t) for t in query.avoid)
     prefix: list[int] = []
     used = [False] * (n + 1)
     count = 0
@@ -265,71 +418,22 @@ def _census_branch(avoid: tuple[Pattern, ...], exactly: tuple[Pattern, ...],
 
     def extend():
         nonlocal count
-        depth = len(prefix)
-        if depth == n:
+        if len(prefix) == n:
             if leaf_ok():
                 count += 1
             return
         for v in range(1, n + 1):
             if used[v]:
                 continue
-            blocked = False
-            for t in avoid:
-                if len(t) <= depth + 1 and _completes(prefix, v, t):
-                    blocked = True
-                    break
-            if not blocked:
+            if not any(_count_ending(prefix, v, plan, 1) for plan in avoid):
                 used[v] = True
                 prefix.append(v)
                 extend()
                 prefix.pop()
                 used[v] = False
 
-    if first is not None:
-        used[first] = True
-        prefix.append(first)
     extend()
     return count
-
-
-def census(query: PatternQuery, n: int, *, bound: int | None = None,
-           workers: int = 1) -> int:
-    """f_{A;B}^C(n): exhaustive count over S_n for the given constraints.
-
-    Raises LengthTooLarge past the feasibility bound (default 10, or
-    PATGF_MAX_N) so that an infeasible run is a deliberate decision.
-    With workers > 1 the lexicographic range is split by leading value across
-    processes; aggregation is additive, so the result is identical.
-    """
-    limit = feasibility_bound(bound)
-    if n > limit:
-        raise LengthTooLarge(n, limit)
-    if n < 0:
-        raise PreconditionViolated("census length must be non-negative")
-    if any(len(t) == 0 for t in query.avoid):
-        return 0  # the empty pattern occurs in every permutation
-    # The empty pattern occurs exactly once in everything: vacuous constraint.
-    exactly = tuple(t for t in query.exactly_once if t)
-    atleast = tuple(t for t in query.at_least_once if t)
-    avoid = tuple(sorted(query.avoid, key=len))
-    if workers > 1 and n >= 2:
-        args = [(avoid, exactly, atleast, n, v) for v in range(1, n + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(_census_worker, args))
-    return _census_branch(avoid, exactly, atleast, n, None)
-
-
-def _census_worker(args) -> int:
-    return _census_branch(*args)
-
-
-def census_series(query: PatternQuery, order: int, *, bound: int | None = None,
-                  workers: int = 1) -> list[int]:
-    """[f(0), f(1), ..., f(order)] for the query."""
-    limit = feasibility_bound(bound)
-    if order > limit:
-        raise LengthTooLarge(order, limit)
-    return [census(query, n, bound=limit, workers=workers) for n in range(order + 1)]
 
 
 def flatten(word: Sequence[int]) -> Pattern:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from patgf import cli
 from patgf.cli import main
 
 
@@ -61,6 +62,31 @@ def test_exit_code_parse_error(capsys):
     assert code == 2
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--avoid", "123", "--order", "-2"],
+    ["table", "--family", "ulk", "--k", "3", "--l", "2", "--order", "-1"],
+    ["count", "--avoid", "123", "--n", "5", "--workers", "0"],
+    ["count", "--avoid", "123", "--n", "5", "--workers", "-3"],
+    ["count", "--avoid", "123", "--n", "-1"],
+    ["series", "--avoid", "123", "--order", "4", "--workers", "0"],
+    ["verify", "--suite", "catalog", "--workers", "0"],
+    ["verify", "--suite", "chebyshev", "--order", "-1"],
+])
+def test_exit_code_bad_counts(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and "must be at least" in err
+
+
+def test_exit_code_unexpected_exception(capsys, monkeypatch):
+    def overflow(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setitem(cli._DISPATCH, "gf", overflow)
+    code, out, err = run(capsys, "gf", "catalog:ulk", "--k", "3000", "--l", "1")
+    assert code == cli.EXIT_INTERNAL != cli.EXIT_VERIFY_FAILED
+    assert out == "" and "error: internal error: RecursionError" in err
 
 
 def test_exit_code_too_large(capsys):

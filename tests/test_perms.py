@@ -4,6 +4,8 @@ import itertools
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patgf import (
     LengthTooLarge,
@@ -22,7 +24,9 @@ from patgf import (
     parse_pattern,
     parse_pattern_set,
 )
+from patgf import perms, verify
 from patgf.errors import DuplicateEntries
+from patgf.perms import census_reference
 
 P132 = (1, 3, 2)
 
@@ -138,6 +142,74 @@ def test_census_deterministic():
 def test_census_parallel_matches_serial():
     q = PatternQuery(avoid=(P132,), exactly_once=((1, 2, 3),))
     assert census(q, 6, workers=2) == census(q, 6, workers=1)
+
+
+def test_count_ending_matches_count_occurrences():
+    # the occurrences of t in a child that use its new last entry are those in
+    # the child less those in the rest, which is order-isomorphic to the parent
+    patterns = [t for k in range(1, 5) for t in itertools.permutations(range(1, k + 1))]
+    for m in range(5):
+        for p in itertools.permutations(range(1, m + 1)):
+            for j in range(1, m + 2):
+                child = tuple(w + (w >= j) for w in p) + (j,)
+                for t in patterns:
+                    want = count_occurrences(child, t) - count_occurrences(p, t)
+                    plan = perms._ending_plan(t)
+                    assert perms._count_ending(p, j - 0.5, plan, 99) == want
+                    assert perms._count_ending(p, j - 0.5, plan, 1) == min(want, 1)
+
+
+def test_census_matches_reference_on_verify_queries(monkeypatch):
+    calls = []
+
+    def recording(query, order, **kwargs):
+        series = census_series(query, order, **kwargs)
+        calls.append((query, order, series))
+        return series
+
+    monkeypatch.setattr(verify, "census_series", recording)
+    verify.suite_oracle(max_n=8)
+    verify.suite_recurrence(max_n=8)
+    distinct = {(query, order): series for query, order, series in calls}
+    assert len(distinct) >= 25
+    for (query, order), series in distinct.items():
+        assert series == [census_reference(query, n) for n in range(order + 1)], query
+
+
+_SMALL_PATTERNS = [t for k in range(5) for t in itertools.permutations(range(1, k + 1))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(_SMALL_PATTERNS), st.integers(0, 2)),
+                max_size=4, unique_by=lambda pair: pair[0]))
+def test_census_matches_reference_on_random_queries(roles):
+    sets = ([], [], [])
+    for t, role in roles:
+        sets[role].append(t)
+    query = PatternQuery(*map(tuple, sets))
+    assert census_series(query, 6) == [census_reference(query, n) for n in range(7)]
+
+
+def test_census_series_parallel_uses_one_pool(monkeypatch):
+    pools = []
+
+    class CountingPool(perms.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(perms, "ProcessPoolExecutor", CountingPool)
+    q = PatternQuery(avoid=(P132,), exactly_once=((1, 2, 3),), at_least_once=((2, 1),))
+    assert census_series(q, 7, workers=2) == census_series(q, 7, workers=1)
+    assert len(pools) == 1
+
+
+def test_census_rejects_fewer_than_one_worker():
+    for workers in (0, -3):
+        with pytest.raises(PreconditionViolated):
+            census(PatternQuery(), 3, workers=workers)
+        with pytest.raises(PreconditionViolated):
+            census_series(PatternQuery(), 3, workers=workers)
 
 
 def test_census_bound():
