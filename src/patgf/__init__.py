@@ -18,7 +18,6 @@ from .chebyshev import (
 )
 from .decompose import (
     CanonicalDecomposition,
-    contains_pattern,
     decompose,
     head,
     prefix,
@@ -32,8 +31,6 @@ from .engine import (
     avoid_contain_gf,
     avoid_set_gf,
     evaluate_query,
-    exactly_once_reduction,
-    lift_by_largest,
     u2k_both_once_gf,
     ulk_avoid_gf,
     ulk_exact_once_gf,
@@ -52,11 +49,9 @@ from .errors import (
     PatgfError,
     PoleAtOrigin,
     PreconditionViolated,
-    UnreducedHalfPower,
 )
 from .perms import (
     PatternQuery,
-    avoids_all,
     census,
     census_series,
     contains,
@@ -66,7 +61,6 @@ from .perms import (
     format_pattern,
     format_pattern_set,
     is_permutation,
-    occurrences,
     parse_pattern,
     parse_pattern_set,
 )
@@ -81,9 +75,7 @@ from .ratfunc import (
     PowerSeries,
     RatFunc,
     as_ratfunc,
-    normalize,
     poly_gcd,
-    rf_series,
 )
 
 __version__ = "0.1.0"

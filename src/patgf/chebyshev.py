@@ -26,8 +26,7 @@ q_k(0) = 1 for k >= 0.  In the same way:
     w_{k,j}:        x^{(k-j)/2} * (U_{k-j} - x*U_{k-j-2})(1/(2*sqrt(x)))
                     = q_{k-j} - x^2*q_{k-j-2}
 
-Each identity is exact in Q(x); any computation that would strand an
-unpaired half power of x is a hard error elsewhere in the package.
+Each identity is exact in Q(x).
 
 Formally, the coefficients of R[k; 0] stabilize to the Catalan numbers as k
 grows (coefficient n is Catalan(n) once k > n); the limit object is realized
@@ -99,29 +98,19 @@ def cf_product_closed(k: int, e) -> RatFunc:
     return RatFunc(P_ONE) / den
 
 
-def reduced_w(k: int, j: int, *, extended: bool = False) -> Poly:
+def reduced_w(k: int, j: int) -> Poly:
     """w_{k,j} = q_{k-j} - x^2 * q_{k-j-2}, the square-root-free W form.
 
-    q_m is defined for m >= -1 only.  When k - j - 2 < -1 the term is
-    rejected unless `extended` opts into the convention q_m = 0 for m < -1
-    (under which w_{k,k} = q_0 = 1).
+    q_m is defined for m >= -1 only, so k - j >= 1 is required.
 
     >>> reduced_w(3, 1).render()
     '1 - x - x^2'
     >>> reduced_w(5, 1).render()
     '1 - 3*x + x^3'
     """
-    if k - j < 0:
-        raise IndexOutOfRange(f"w(k={k}, j={j}) needs k - j >= 0")
-    m2 = k - j - 2
-    if m2 < -1:
-        if not extended:
-            raise IndexOutOfRange(
-                f"w(k={k}, j={j}) references q_{m2}; pass extended=True to treat it as 0")
-        low = P_ZERO
-    else:
-        low = reduced_chebyshev(m2)
-    return reduced_chebyshev(k - j) - (P_X * P_X) * low
+    if k - j < 1:
+        raise IndexOutOfRange(f"w(k={k}, j={j}) needs k - j >= 1")
+    return reduced_chebyshev(k - j) - (P_X * P_X) * reduced_chebyshev(k - j - 2)
 
 
 def catalan_series(order: int) -> PowerSeries:

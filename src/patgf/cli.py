@@ -16,16 +16,9 @@ import json
 import sys
 import traceback
 
-from .engine import (
-    GfResult,
-    avoid_contain_gf,
-    avoid_set_gf,
-    u2k_both_once_gf,
-    ulk_avoid_gf,
-    ulk_exact_once_gf,
-)
+from .engine import GfResult, evaluate_query, u2k_both_once_gf, ulk_avoid_gf, ulk_exact_once_gf
 from .errors import LengthTooLarge, ParseError, PatgfError
-from .perms import PatternQuery, census, census_series, parse_pattern, parse_pattern_set
+from .perms import PATTERN_132, PatternQuery, census, census_series, parse_pattern, parse_pattern_set
 from .ratfunc import RatFunc
 from .verify import SUITE_NAMES, run_suites
 
@@ -35,8 +28,6 @@ EXIT_USAGE = 2
 EXIT_TOO_LARGE = 3
 EXIT_ENGINE = 4
 EXIT_INTERNAL = 5
-
-PATTERN_132 = (1, 3, 2)
 
 
 def _int_at_least(least: int):
@@ -168,10 +159,8 @@ def _cmd_gf(args) -> int:
         (k,) = _need(args, "k")
         result = GfResult(u2k_both_once_gf(k), "catalog")
     else:
-        avoid = parse_pattern_set(args.avoid)
-        once = parse_pattern_set(args.exactly_once)
-        value = avoid_contain_gf(avoid, once) if once else avoid_set_gf(avoid)
-        result = GfResult(value, "recurrence")
+        result = evaluate_query(parse_pattern_set(args.avoid),
+                                parse_pattern_set(args.exactly_once))
     if args.json:
         payload = result.value.to_json_dict()
         payload["provenance"] = result.provenance
@@ -206,6 +195,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     k_last = args.k_max if args.k_max is not None else args.k
+    if k_last < args.k:
+        raise ParseError(f"--k-max must be at least --k ({args.k}), got {k_last}")
     rows = []
     for k in range(args.k, k_last + 1):
         if args.family == "ulk":

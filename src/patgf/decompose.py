@@ -27,9 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, Not132Avoiding, PreconditionViolated
-from .perms import Pattern, contains, flatten
-
-PATTERN_132: Pattern = (1, 3, 2)
+from .perms import PATTERN_132, Pattern, contains, flatten
 
 
 def rtl_maxima(p: Pattern) -> tuple[int, ...]:
@@ -136,8 +134,3 @@ def suffix(src: Pattern | CanonicalDecomposition, i: int) -> Pattern:
         raise IndexOutOfRange(f"suffix index {i} outside 0..{d.r + 1}")
     begin = d.maxima[i][0] - len(d.blocks[i])
     return flatten(d.pattern[begin:])
-
-
-def contains_pattern(a: Pattern, b: Pattern) -> bool:
-    """True iff b occurs in a at least once (containment precondition checks)."""
-    return contains(a, b)

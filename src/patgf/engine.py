@@ -60,12 +60,9 @@ from .errors import (
     Not132Avoiding,
     NonlinearSelfReference,
     PreconditionViolated,
-    UnreducedHalfPower,
 )
-from .perms import Pattern, canonical_patterns, contains, count_occurrences, is_permutation
+from .perms import PATTERN_132, Pattern, canonical_patterns, contains, count_occurrences, is_permutation
 from .ratfunc import P_X, RF_ONE, RF_X, RF_ZERO, Poly, RatFunc
-
-PATTERN_132: Pattern = (1, 3, 2)
 
 
 @dataclass(frozen=True)
@@ -122,7 +119,7 @@ class GfResult:
             raise PreconditionViolated("generating function must expand at the origin")
 
 
-def _validate_patterns(patterns: Iterable[Pattern], *, allow_empty_pattern: bool) -> tuple[Pattern, ...]:
+def _validate_patterns(patterns: Iterable[Pattern]) -> tuple[Pattern, ...]:
     out = []
     for p in patterns:
         p = tuple(p)
@@ -130,8 +127,6 @@ def _validate_patterns(patterns: Iterable[Pattern], *, allow_empty_pattern: bool
             raise PreconditionViolated(f"{p} is not a permutation")
         if p and contains(p, PATTERN_132):
             raise Not132Avoiding(f"pattern {p} contains 132")
-        if not p and not allow_empty_pattern:
-            raise PreconditionViolated("the empty pattern is not allowed here")
         out.append(p)
     return tuple(out)
 
@@ -156,41 +151,9 @@ def at_least_once_expansion(avoid: Iterable[Pattern], at_least: Sequence[Pattern
     return out
 
 
-def exactly_once_reduction(avoid: Iterable[Pattern],
-                           pairs: Sequence[tuple[Pattern, Pattern]]
-                           ) -> list[tuple[int, tuple[Pattern, ...]]]:
-    """Alternating sum replacing avoided patterns by contained sub-patterns.
-
-    Each pair (alpha, beta) requires beta to occur in alpha; term S of the
-    expansion avoids beta_i for i in S and alpha_i otherwise, with sign
-    (-1)^{|S|}.  Evaluating a counting functional over the terms yields the
-    count for avoiding all alphas while containing each beta at least once.
-    """
-    pairs = list(pairs)
-    for alpha, beta in pairs:
-        if not contains(alpha, beta):
-            raise PreconditionViolated(
-                f"{beta} does not occur in {alpha}; reduction requires containment")
-    base = tuple(avoid)
-    out = []
-    for size in range(len(pairs) + 1):
-        for chosen in itertools.combinations(range(len(pairs)), size):
-            selected = set(chosen)
-            pats = list(base)
-            for i, (alpha, beta) in enumerate(pairs):
-                pats.append(beta if i in selected else alpha)
-            out.append(((-1) ** size, canonical_patterns(pats)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The block recurrence
 # ---------------------------------------------------------------------------
-
-def _powerset(items: tuple) -> Iterable[tuple]:
-    for size in range(len(items) + 1):
-        yield from itertools.combinations(items, size)
-
 
 def _once_case(d: CanonicalDecomposition, b: int,
                l_avoid: list, l_once: list, r_avoid: list, r_once: list) -> None:
@@ -266,9 +229,9 @@ def _evaluate(state: GfState, memo: dict, in_progress: set) -> RatFunc:
             if right_val is not None and right_val.is_zero():
                 continue
 
-            for subset in _powerset(canonical_patterns(l_atleast)):
-                sign = -1 if len(subset) % 2 else 1
-                left = GfState.make(l_avoid + list(subset), l_once)
+            for sign, left_avoid in at_least_once_expansion(
+                    l_avoid, canonical_patterns(l_atleast)):
+                left = GfState.make(left_avoid, l_once)
                 if left is None:
                     continue
                 left_is_self = left == state
@@ -303,7 +266,7 @@ def avoid_set_gf(patterns: Iterable[Pattern]) -> RatFunc:
     """Generating function for avoiding every pattern in the set (plus the
     ambient 132).  Patterns must avoid 132 and be mutually incomparable;
     comparable ones are reduced away rather than rejected."""
-    pats = _validate_patterns(patterns, allow_empty_pattern=True)
+    pats = _validate_patterns(patterns)
     if not pats:
         raise PreconditionViolated("at least one pattern is required")
     state = GfState.make(pats, ())
@@ -315,8 +278,8 @@ def avoid_set_gf(patterns: Iterable[Pattern]) -> RatFunc:
 def avoid_contain_gf(avoid: Iterable[Pattern], exactly_once: Iterable[Pattern]) -> RatFunc:
     """Generating function for avoiding A while containing each pattern of B
     exactly once (all within the 132-avoiding class)."""
-    a = _validate_patterns(avoid, allow_empty_pattern=True)
-    b = _validate_patterns(exactly_once, allow_empty_pattern=True)
+    a = _validate_patterns(avoid)
+    b = _validate_patterns(exactly_once)
     if set(a) & set(b):
         raise PreconditionViolated("avoid and exactly-once sets must be disjoint")
     if not a and not b:
@@ -333,14 +296,6 @@ def avoid_contain_gf(avoid: Iterable[Pattern], exactly_once: Iterable[Pattern]) 
 # ---------------------------------------------------------------------------
 # Closed-form catalog
 # ---------------------------------------------------------------------------
-
-def lift_by_largest(f: RatFunc) -> RatFunc:
-    """F for patterns extended by a new largest last entry: 1/(1 - x*F')."""
-    den = RF_ONE - RF_X * f
-    if den.is_zero():
-        raise DegenerateContinuedFraction("lift denominator 1 - x*F' is identically zero")
-    return RF_ONE / den
-
 
 def ulk_members(k: int, l: int) -> tuple[Pattern, ...]:
     """All length-k patterns whose last k-l entries are l+1, ..., k."""
@@ -380,20 +335,16 @@ def u2k_both_once_gf(k: int) -> RatFunc:
     sum over the reduced w polynomials.
 
     Each summand carries x^{5/2} from the seed and x^{(k-j)/2}-type factors
-    from the w reductions; the half-integer exponents are tracked explicitly
-    and must cancel, since the result is a formal power series.  The sum is
-    empty (zero) for k = 3 and k = 4.
+    from the w reductions.  The half exponents add up to
+    5 + 2(k-1) + (k-j+1) + (k-j) = 2(2k - j + 2), so the power of x is the
+    integer 2k - j + 2.  The sum is empty (zero) for k = 3 and k = 4.
     """
     if k < 3:
         raise PreconditionViolated(f"need k >= 3, got {k}")
     total = RF_ZERO
     w1 = reduced_w(k, 1)
     for j in range(3, k - 1):
-        half_exponent = 5 + 2 * (k - 1) + (k - j + 1) + (k - j)
-        if half_exponent % 2:
-            raise UnreducedHalfPower(
-                f"summand j={j} keeps an unpaired half power of x")
-        exponent = half_exponent // 2
+        exponent = 2 * k - j + 2
         den = w1 * w1 * reduced_w(k, j - 1) * reduced_w(k, j)
         total = total + RatFunc(Poly([2]) * P_X ** exponent, den)
     return total

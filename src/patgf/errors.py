@@ -56,7 +56,3 @@ class NonlinearSelfReference(PatgfError):
 
 class CyclicStateReference(PatgfError):
     """Two distinct recurrence states refer to each other."""
-
-
-class UnreducedHalfPower(PatgfError):
-    """A half-integer power of x survived a reduction that must cancel it."""

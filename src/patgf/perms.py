@@ -36,6 +36,8 @@ from .errors import DuplicateEntries, LengthTooLarge, ParseError, PreconditionVi
 
 Pattern = tuple[int, ...]
 
+PATTERN_132: Pattern = (1, 3, 2)
+
 DEFAULT_MAX_N = 10
 _ENV_MAX_N = "PATGF_MAX_N"
 
@@ -61,13 +63,6 @@ def is_permutation(word: Sequence[int]) -> bool:
     """
     n = len(word)
     return sorted(word) == list(range(1, n + 1))
-
-
-def validate_permutation(word: Sequence[int]) -> Pattern:
-    p = tuple(word)
-    if not is_permutation(p):
-        raise ParseError(f"{p} is not a permutation of 1..{len(p)}")
-    return p
 
 
 def parse_pattern(text: str) -> Pattern:
@@ -197,19 +192,9 @@ def count_occurrences(p: Sequence[int], t: Pattern, cap: int | None = None) -> i
     return count
 
 
-def occurrences(p: Sequence[int], t: Pattern) -> int:
-    """Exact occurrence count of pattern t in p."""
-    return count_occurrences(p, t)
-
-
 def contains(p: Sequence[int], t: Pattern) -> bool:
     """True iff t occurs in p at least once."""
     return count_occurrences(p, t, cap=1) >= 1
-
-
-def avoids_all(p: Sequence[int], patterns: Iterable[Pattern]) -> bool:
-    """True iff no pattern in the set occurs in p (vacuously true when empty)."""
-    return all(not contains(p, t) for t in patterns)
 
 
 def _ending_plan(t: Pattern) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -448,10 +433,3 @@ def flatten(word: Sequence[int]) -> Pattern:
         raise DuplicateEntries(f"cannot flatten {tuple(word)}: repeated values")
     ranks = {v: i + 1 for i, v in enumerate(sorted(word))}
     return tuple(ranks[v] for v in word)
-
-
-def all_permutations(n: int):
-    """Yield S_n in lexicographic order (used by tests; census does not)."""
-    from itertools import permutations
-
-    return permutations(range(1, n + 1))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd
 from typing import Iterable, Union
 
 from .errors import DivisionByZero, ParseError, PoleAtOrigin
@@ -121,12 +120,6 @@ class Poly:
             e >>= 1
         return result
 
-    def shift(self, m: int) -> "Poly":
-        """Multiply by x^m."""
-        if self.is_zero():
-            return self
-        return Poly([Fraction(0)] * m + list(self.coeffs))
-
     def scale(self, c: Coeff) -> "Poly":
         c = _coerce(c)
         return Poly([a * c for a in self.coeffs])
@@ -171,22 +164,6 @@ class Poly:
             return self
         return self.scale(1 / self.coeffs[-1])
 
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integer-primitive (0 for zero)."""
-        if self.is_zero():
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = _int_gcd(num, c.numerator)
-            den = den * c.denominator // _int_gcd(den, c.denominator)
-        return Fraction(num, den)
-
-    def primitive(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.content())
-
     def lowest_nonzero(self) -> tuple[int, Fraction]:
         for i, c in enumerate(self.coeffs):
             if c != 0:
@@ -195,16 +172,12 @@ class Poly:
 
     # -- rendering ----------------------------------------------------------
 
-    def render(self, descending: bool = False) -> str:
-        """Human-readable text like ``1 - 2*x - x^2``."""
+    def render(self) -> str:
+        """Human-readable text like ``1 - 2*x - x^2``, in ascending powers."""
         if self.is_zero():
             return "0"
         terms = []
-        indices = range(len(self.coeffs))
-        if descending:
-            indices = reversed(indices)
-        for i in indices:
-            c = self.coeffs[i]
+        for i, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             terms.append((c, i))
@@ -353,13 +326,13 @@ class RatFunc:
 
     # -- rendering ----------------------------------------------------------
 
-    def render(self, descending: bool = False) -> str:
-        num_text = self.num.render(descending)
+    def render(self) -> str:
+        num_text = self.num.render()
         if self.den == P_ONE:
             return num_text
         if sum(1 for c in self.num.coeffs if c != 0) > 1:
             num_text = f"({num_text})"
-        return f"{num_text}/({self.den.render(descending)})"
+        return f"{num_text}/({self.den.render()})"
 
     def to_json_dict(self) -> dict:
         return {
@@ -387,11 +360,6 @@ def as_ratfunc(value) -> RatFunc:
     if isinstance(value, (int, Fraction, Poly)):
         return RatFunc(value)
     raise TypeError(f"cannot treat {type(value).__name__} as a rational function")
-
-
-def normalize(value: RatFunc) -> RatFunc:
-    """Canonical representative (the constructor already canonicalizes)."""
-    return RatFunc(value.num, value.den)
 
 
 RF_ZERO = RatFunc()
@@ -429,8 +397,3 @@ class PowerSeries:
                 raise ValueError(f"non-integral series coefficient {c}")
             out.append(c.numerator)
         return out
-
-
-def rf_series(f: RatFunc, order: int) -> PowerSeries:
-    """Module-level spelling of RatFunc.series."""
-    return f.series(order)

@@ -24,15 +24,13 @@ from patgf import (
     cf_closed,
     cf_iterative,
     cf_product_closed,
-    lift_by_largest,
     u2k_both_once_gf,
     ulk_avoid_gf,
-    ulk_exact_once_gf,
     ulk_members,
     avoid_contain_gf,
     avoid_set_gf,
 )
-from patgf.verify import e_battery
+from patgf.verify import AVOID_BATTERY, EXACT_BATTERY, e_battery, oracle_catalog_cases
 
 P132 = (1, 3, 2)
 RF_X = RatFunc(Poly([0, 1]))
@@ -52,7 +50,7 @@ def oracle(avoid, once, n_max):
 def test_criterion_1_continued_fraction_identities():
     t0 = time.time()
     mismatches = []
-    for e_poly in e_battery(20):
+    for e_poly in e_battery():
         e = RatFunc(e_poly)
         literal = RF_ONE
         for k in range(1, 17):
@@ -98,29 +96,12 @@ def test_criterion_4_oracle_master_check():
     n_max = 9
     failures = []
 
-    for l in (1, 2):
-        for k in range(l, 6):
-            got = ulk_avoid_gf(k, l).series(n_max).as_ints()
-            want = oracle(ulk_members(k, l), (), n_max)
-            if got != want:
-                failures.append(("ulk", k, l, got, want))
-
-    for (k, l) in ((2, 1), (3, 1), (3, 2), (4, 2)):
-        members = ulk_members(k, l)
-        t = members[0]
-        rest = tuple(m for m in members if m != t)
-        got = ulk_exact_once_gf(k, l, t).series(n_max).as_ints()
-        want = oracle(rest, (t,), n_max)
-        if got != want:
-            failures.append(("ulk-once", k, l, got, want))
-
-    f = RF_ONE
-    for k in range(1, 6):
+    # the tail family, the exactly-once family and the lift chain
+    for name, f, avoid, once in oracle_catalog_cases():
         got = f.series(n_max).as_ints()
-        want = oracle((tuple(range(1, k + 1)),), (), n_max)
+        want = oracle(avoid, once, n_max)
         if got != want:
-            failures.append(("lift-chain", k, got, want))
-        f = lift_by_largest(f)
+            failures.append((name, got, want))
 
     if ulk_avoid_gf(3, 2).series(9).as_ints() != [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]:
         failures.append("Fibonacci vector")
@@ -135,25 +116,13 @@ def test_criterion_5_recurrence_vs_oracle():
     t0 = time.time()
     n_max = 9
     failures = []
-    avoid_battery = [
-        [(2, 3, 1)],
-        *[[tuple(range(1, k + 1))] for k in range(1, 6)],
-        [(2, 3, 1), (1, 2, 3, 4)],
-        [(2, 3, 4, 1), (3, 2, 4, 1)],
-        list(ulk_members(4, 2)),
-    ]
-    for pats in avoid_battery:
+    assert ulk_members(4, 2) in AVOID_BATTERY  # the criterion covers this tail family
+    for pats in AVOID_BATTERY:
         got = avoid_set_gf(pats).series(n_max).as_ints()
         want = oracle(pats, (), n_max)
         if got != want:
             failures.append(("avoid", pats, got, want))
-    exact_battery = [
-        ((), [(1,)]),
-        ((), [(1, 2)]),
-        ((), [(1, 2, 3)]),
-        ([(2, 1, 3)], [(1, 2, 3)]),
-    ]
-    for avoid, once in exact_battery:
+    for avoid, once in EXACT_BATTERY:
         got = avoid_contain_gf(avoid, once).series(n_max).as_ints()
         want = oracle(avoid, once, n_max)
         if got != want:

@@ -93,11 +93,10 @@ def test_reduced_w():
     assert reduced_w(3, 1) == Poly([1, -1, -1])
     assert reduced_w(5, 1) == Poly([1, -3, 0, 1])
     assert reduced_w(4, 2) == Poly([1, -1, -1])  # q_2 - x^2*q_0
-    assert reduced_w(2, 2, extended=True) == Poly([1])
     with pytest.raises(IndexOutOfRange):
         reduced_w(2, 2)
     with pytest.raises(IndexOutOfRange):
-        reduced_w(1, 3, extended=True)
+        reduced_w(1, 3)
 
 
 def test_catalan_series():

@@ -9,7 +9,6 @@ from patgf import (
     Not132Avoiding,
     PreconditionViolated,
     contains,
-    contains_pattern,
     decompose,
     flatten,
     head,
@@ -101,9 +100,9 @@ def test_prefix_suffix_chains():
                 assert prefix(d, 0) == flatten(p[:-1])
             assert suffix(d, 0) == p
             for i in range(0, d.r + 1):
-                assert contains_pattern(prefix(d, i), prefix(d, i - 1))
+                assert contains(prefix(d, i), prefix(d, i - 1))
             for i in range(0, d.r + 1):
-                assert contains_pattern(suffix(d, i), suffix(d, i + 1))
+                assert contains(suffix(d, i), suffix(d, i + 1))
 
 
 def test_head_family():
@@ -120,7 +119,7 @@ def test_head_family():
         for p in avoiders(n):
             dd = decompose(p)
             for j in range(dd.r + 1):
-                assert contains_pattern(head(dd, j + 1), head(dd, j))
+                assert contains(head(dd, j + 1), head(dd, j))
 
 
 def test_prefixes_are_132_avoiding():

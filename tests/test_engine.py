@@ -17,8 +17,6 @@ from patgf import (
     census,
     census_series,
     cf_iterative,
-    exactly_once_reduction,
-    lift_by_largest,
     u2k_both_once_gf,
     ulk_avoid_gf,
     ulk_exact_once_gf,
@@ -58,21 +56,6 @@ def test_at_least_once_expansion_examples():
     for n in range(6):
         direct = census(PatternQuery(avoid=(P132,), at_least_once=((1, 2), (2, 1))), n)
         assert eval_combination(at_least_once_expansion([P132], [(1, 2), (2, 1)]), n) == direct
-
-
-def test_exactly_once_reduction_examples():
-    assert exactly_once_reduction([(2, 1)], []) == [(1, ((2, 1),))]
-    terms = exactly_once_reduction([], [((1, 2, 3), (1, 2))])
-    assert terms == [(1, ((1, 2, 3),)), (-1, ((1, 2),))]
-    terms = exactly_once_reduction([], [((1, 2, 3), (1, 2)), ((3, 2, 1), (2, 1))])
-    assert [sign for sign, _ in terms] == [1, -1, -1, 1]
-    # it computes avoid-alpha-contain-beta counts
-    for n in range(6):
-        direct = census(PatternQuery(avoid=((1, 2, 3),), at_least_once=((1, 2),)), n)
-        assert eval_combination(terms := exactly_once_reduction([], [((1, 2, 3), (1, 2))]), n) \
-            == direct
-    with pytest.raises(PreconditionViolated):
-        exactly_once_reduction([], [((1, 2), (2, 1))])
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +245,16 @@ def test_ulk_exact_once_matches_engine():
 
 
 def test_lift_by_largest():
-    assert lift_by_largest(RatFunc(Poly([1, 1]))) == RatFunc(Poly([1]), Poly([1, -1, -1]))
-    assert lift_by_largest(RF_ONE) == RatFunc(Poly([1]), Poly([1, -1]))
-    assert lift_by_largest(RatFunc(Poly([1, -1]), Poly([1, -2]))) \
+    # lifting by a new largest entry is one step of the continued fraction
+    assert cf_iterative(1, RatFunc(Poly([1, 1]))) == RatFunc(Poly([1]), Poly([1, -1, -1]))
+    assert cf_iterative(1, RF_ONE) == RatFunc(Poly([1]), Poly([1, -1]))
+    assert cf_iterative(1, RatFunc(Poly([1, -1]), Poly([1, -2]))) \
         == RatFunc(Poly([1, -2]), Poly([1, -3, 1]))
     # lifting really is appending a new largest entry to every pattern
-    assert lift_by_largest(avoid_set_gf([(2, 1)])) == avoid_set_gf([(2, 1, 3)])
+    assert cf_iterative(1, avoid_set_gf([(2, 1)])) == avoid_set_gf([(2, 1, 3)])
     from patgf import DegenerateContinuedFraction, P_X
     with pytest.raises(DegenerateContinuedFraction):
-        lift_by_largest(RatFunc(Poly([1]), P_X))
+        cf_iterative(1, RatFunc(Poly([1]), P_X))
 
 
 def test_u2k_both_once_formula():
