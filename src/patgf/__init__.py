@@ -43,7 +43,6 @@ from .errors import (
     DuplicateEntries,
     IndexOutOfRange,
     LengthTooLarge,
-    NonlinearSelfReference,
     Not132Avoiding,
     ParseError,
     PatgfError,

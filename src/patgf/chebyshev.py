@@ -55,9 +55,12 @@ def reduced_chebyshev(k: int) -> Poly:
         raise IndexOutOfRange(f"q_{k} is undefined (k >= -1 required)")
     if k == -1:
         return P_ZERO
-    if k <= 1:
-        return P_ONE
-    return reduced_chebyshev(k - 1) - P_X * reduced_chebyshev(k - 2)
+    # q_1 = q_0 - x*q_{-1} too, so k steps from (q_{-1}, q_0) reach q_k;
+    # a loop, not recursion, so that no k meets the recursion limit.
+    prev, q = P_ZERO, P_ONE
+    for _ in range(k):
+        prev, q = q, q - P_X * prev
+    return q
 
 
 def cf_iterative(k: int, e) -> RatFunc:

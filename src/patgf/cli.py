@@ -19,7 +19,6 @@ import traceback
 from .engine import GfResult, evaluate_query, u2k_both_once_gf, ulk_avoid_gf, ulk_exact_once_gf
 from .errors import LengthTooLarge, ParseError, PatgfError
 from .perms import PATTERN_132, PatternQuery, census, census_series, parse_pattern, parse_pattern_set
-from .ratfunc import RatFunc
 from .verify import SUITE_NAMES, run_suites
 
 EXIT_OK = 0
@@ -82,8 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gf.add_argument("--k", type=int)
     p_gf.add_argument("--l", type=int)
     p_gf.add_argument("--t", help="distinguished pattern for catalog:ulk-once")
-    p_gf.add_argument("--avoid", default="")
-    p_gf.add_argument("--exactly-once", default="", dest="exactly_once")
+    p_gf.add_argument("--avoid")
+    p_gf.add_argument("--exactly-once", dest="exactly_once")
     p_gf.add_argument("--json", action="store_true")
 
     p_verify = sub.add_parser("verify", help="run self-verification suites")
@@ -116,10 +115,6 @@ def _parse_query(args) -> PatternQuery:
     return query
 
 
-def _rf_json(f: RatFunc) -> str:
-    return json.dumps(f.to_json_dict())
-
-
 def _cmd_count(args) -> int:
     query = _parse_query(args)
     value = census(query, args.n, bound=args.max_n, workers=args.workers)
@@ -147,7 +142,20 @@ def _need(args, *names) -> list:
     return out
 
 
+# The flags of `gf` that each source reads; giving any other is an error.
+_GF_READS = {
+    "catalog:ulk": ("k", "l"),
+    "catalog:ulk-once": ("k", "l", "t"),
+    "catalog:u2k-both": ("k",),
+    "recurrence": ("avoid", "exactly_once"),
+}
+
+
 def _cmd_gf(args) -> int:
+    for name in ("k", "l", "t", "avoid", "exactly_once"):
+        if name not in _GF_READS[args.source] and getattr(args, name) is not None:
+            flag = "--" + name.replace("_", "-")
+            raise ParseError(f"{flag} is not used by {args.source}")
     if args.source == "catalog:ulk":
         k, l = _need(args, "k", "l")
         result = GfResult(ulk_avoid_gf(k, l), "catalog")
@@ -159,8 +167,8 @@ def _cmd_gf(args) -> int:
         (k,) = _need(args, "k")
         result = GfResult(u2k_both_once_gf(k), "catalog")
     else:
-        result = evaluate_query(parse_pattern_set(args.avoid),
-                                parse_pattern_set(args.exactly_once))
+        result = evaluate_query(parse_pattern_set(args.avoid or ""),
+                                parse_pattern_set(args.exactly_once or ""))
     if args.json:
         payload = result.value.to_json_dict()
         payload["provenance"] = result.provenance
@@ -197,6 +205,8 @@ def _cmd_table(args) -> int:
     k_last = args.k_max if args.k_max is not None else args.k
     if k_last < args.k:
         raise ParseError(f"--k-max must be at least --k ({args.k}), got {k_last}")
+    if args.family == "u2k-both" and args.l is not None:
+        raise ParseError("--l is not used by --family u2k-both")
     rows = []
     for k in range(args.k, k_last + 1):
         if args.family == "ulk":

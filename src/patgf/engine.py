@@ -58,7 +58,6 @@ from .errors import (
     CyclicStateReference,
     DegenerateContinuedFraction,
     Not132Avoiding,
-    NonlinearSelfReference,
     PreconditionViolated,
 )
 from .perms import PATTERN_132, Pattern, canonical_patterns, contains, count_occurrences, is_permutation
@@ -182,6 +181,17 @@ def _once_case(d: CanonicalDecomposition, b: int,
 
 
 def _evaluate(state: GfState, memo: dict, in_progress: set) -> RatFunc:
+    """The generating function of a state, by the block recurrence.
+
+    A term holds the state itself on at most one side, so the equation for
+    it is linear.  Take a pattern of the largest length L in the state; the
+    cases add a length-L pattern to either side only as itself.  An avoided
+    t reaches the left state only when a = r >= 1 and the right only when
+    a = 0; an exactly-once g stays exactly-once on the left only when
+    b = r+1 >= 2 and on the right only when b = 0.  Canonicalisation only
+    drops patterns, and the avoid and exactly-once sets are disjoint, so the
+    left and right states are never both the state.
+    """
     if state in memo:
         return memo[state]
     if state in in_progress:
@@ -234,11 +244,7 @@ def _evaluate(state: GfState, memo: dict, in_progress: set) -> RatFunc:
                 left = GfState.make(left_avoid, l_once)
                 if left is None:
                     continue
-                left_is_self = left == state
-                if left_is_self and right_is_self:
-                    raise NonlinearSelfReference(
-                        f"term multiplies {state} by itself")
-                if left_is_self:
+                if left == state:
                     self_coeff = self_coeff + sign * RF_X * right_val
                 elif right_is_self:
                     left_val = _evaluate(left, memo, in_progress)

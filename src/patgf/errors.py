@@ -50,9 +50,5 @@ class PreconditionViolated(PatgfError):
     """A documented operation precondition does not hold."""
 
 
-class NonlinearSelfReference(PatgfError):
-    """A recurrence term would multiply the unknown series by itself."""
-
-
 class CyclicStateReference(PatgfError):
     """Two distinct recurrence states refer to each other."""

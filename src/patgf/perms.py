@@ -13,10 +13,11 @@ one.  The tree holds the permutations that avoid every avoided pattern and
 hold each exactly-once pattern at most once, a class closed under deleting
 entries, so a node outside it is pruned with its whole subtree.  A child's
 occurrence counts are its parent's plus the occurrences ending at its new
-entry, the only search the walk makes.  Each node is tallied at its own
-length, so one walk counts every length up to n.  `census_reference`, a
-plain lexicographic walk of S_n checked leaf by leaf, is the oracle the
-tests hold the census to.
+entry, found by `_count_ending`, the one occurrence search: `count_occurrences`
+and `contains` add it up over the positions where an occurrence can end.
+Each node is tallied at its own length, so one walk counts every length up
+to n.  `census_reference`, a plain lexicographic walk of S_n checked leaf by
+leaf, is the oracle the tests hold the census to.
 
 Text format shared with the CLI: a pattern is a compact digit string ("132")
 when all values are single digits, otherwise comma-separated values
@@ -29,6 +30,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from math import inf
 from typing import Iterable, Sequence
 
@@ -140,10 +142,9 @@ class PatternQuery:
 def count_occurrences(p: Sequence[int], t: Pattern, cap: int | None = None) -> int:
     """Number of subsequences of p order-isomorphic to t.
 
-    The search places t's entries left to right; each candidate value must fall
-    in the window forced by the already-placed entries (value-window pruning)
-    and enough positions must remain (length pruning).  With `cap`, counting
-    stops as soon as `cap` occurrences are found.
+    Each occurrence is counted at the position of its last entry, by
+    `_count_ending` on the entries before it.  With `cap`, counting stops as
+    soon as `cap` occurrences are found.
 
     >>> count_occurrences((2, 1, 3), (1, 2))
     2
@@ -153,42 +154,17 @@ def count_occurrences(p: Sequence[int], t: Pattern, cap: int | None = None) -> i
     1
     """
     k = len(t)
-    n = len(p)
+    if k > len(p):
+        return 0
     if k == 0:
         return 1
-    if k > n:
-        return 0
-    chosen: list[int | None] = [None] * k
+    plan = _ending_plan(t)
+    cap = inf if cap is None else cap
     count = 0
-
-    def rec(j: int, start: int) -> bool:
-        nonlocal count
-        if j == k:
-            count += 1
-            return cap is not None and count >= cap
-        lo, hi = 0, n + 1
-        tj = t[j]
-        for i in range(k):
-            w = chosen[i]
-            if w is None:
-                continue
-            if t[i] < tj:
-                if w > lo:
-                    lo = w
-            elif w < hi:
-                hi = w
-        need = k - j
-        for pos in range(start, n - need + 1):
-            w = p[pos]
-            if lo < w < hi:
-                chosen[j] = w
-                if rec(j + 1, pos + 1):
-                    chosen[j] = None
-                    return True
-                chosen[j] = None
-        return False
-
-    rec(0, 0)
+    for i in range(k - 1, len(p)):
+        count += _count_ending(p[:i], p[i], plan, cap - count)
+        if count >= cap:
+            break
     return count
 
 
@@ -197,6 +173,7 @@ def contains(p: Sequence[int], t: Pattern) -> bool:
     return count_occurrences(p, t, cap=1) >= 1
 
 
+@lru_cache(maxsize=None)
 def _ending_plan(t: Pattern) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """How `_count_ending` places t: its length, and for each entry but the
     last, the index of the entry already placed (an earlier one, or the last)

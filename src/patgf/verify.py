@@ -219,14 +219,21 @@ def suite_catalog() -> list[Check]:
     return checks
 
 
-def _oracle_series(avoid, once, max_n, workers) -> list[int]:
+def _oracle_series(avoid, once, max_n, workers, memo: dict) -> list[int]:
+    """The census series to length max_n of the query with 132 adjoined.
+    `memo` keeps the longest series counted for each query, which also
+    serves every shorter length."""
     query = PatternQuery(avoid=tuple(avoid) + (PATTERN_132,), exactly_once=tuple(once))
-    return census_series(query, max_n, workers=workers)
+    series = memo.get(query)
+    if series is None or len(series) <= max_n:
+        series = memo[query] = census_series(query, max_n, workers=workers)
+    return series[:max_n + 1]
 
 
-def _series_check(name: str, f: RatFunc, avoid, once, max_n: int, workers: int) -> Check:
+def _series_check(name: str, f: RatFunc, avoid, once, max_n: int, workers: int,
+                  memo: dict) -> Check:
     symbolic = f.series(max_n).as_ints()
-    oracle = _oracle_series(avoid, once, max_n, workers)
+    oracle = _oracle_series(avoid, once, max_n, workers, memo)
     return _check(name, oracle, symbolic)
 
 
@@ -252,27 +259,22 @@ def oracle_catalog_cases():
         f = cf_iterative(1, f)
 
 
-def suite_oracle(max_n: int = 9, workers: int = 1) -> list[Check]:
-    # The l = 1 tail family and the lift chain ask for the same queries;
-    # each distinct one is counted once per call.
-    series: dict = {}
+def suite_oracle(max_n: int = 9, workers: int = 1, memo: dict | None = None) -> list[Check]:
+    memo = {} if memo is None else memo
     checks = []
     for name, f, avoid, once in oracle_catalog_cases():
-        key = (avoid, once)
-        if key not in series:
-            series[key] = _oracle_series(avoid, once, max_n, workers)
-        checks.append(_check(name, series[key], f.series(max_n).as_ints()))
+        checks.append(_series_check(name, f, avoid, once, max_n, workers, memo))
     checks.append(_check("frozen series: Fibonacci for k=3, l=2",
                          [1, 1, 2, 3, 5, 8, 13, 21, 34, 55][:max_n + 1],
                          ulk_avoid_gf(3, 2).series(max_n).as_ints()))
     checks.append(_check("frozen series: half-companion-Pell for k=4, l=2",
                          [1, 1, 2, 5, 12, 29, 70, 169, 408, 985][:max_n + 1],
                          ulk_avoid_gf(4, 2).series(max_n).as_ints()))
-    checks.extend(u2k_comparison(max_n=max_n, workers=workers))
+    checks.extend(u2k_comparison(max_n=max_n, workers=workers, memo=memo))
     return checks
 
 
-def u2k_comparison(max_n: int = 10, workers: int = 1) -> list[Check]:
+def u2k_comparison(max_n: int = 10, workers: int = 1, memo: dict | None = None) -> list[Check]:
     """Closed-sum formula vs census for the both-patterns-once family.
 
     k=3: the formula must be identically zero.  k=4: the comparison is
@@ -280,12 +282,13 @@ def u2k_comparison(max_n: int = 10, workers: int = 1) -> list[Check]:
     on, so the check records the discrepancy without failing.  k=5: strict
     coefficientwise match is demanded and fails (first at length 8).
     """
+    memo = {} if memo is None else memo
     checks = []
     oracles = {}
     formulas = {}
     for k in (3, 4, 5):
         formulas[k] = u2k_both_once_gf(k)
-        oracles[k] = _oracle_series((), ulk_members(k, 2), max_n, workers)
+        oracles[k] = _oracle_series((), ulk_members(k, 2), max_n, workers, memo)
     checks.append(_check("both-once formula at k=3 is identically zero",
                          RatFunc(), formulas[3],
                          note=f"census series (authoritative): {oracles[3]}"))
@@ -331,20 +334,21 @@ EXTRA_EXACT_BATTERY: tuple[tuple[tuple[Pattern, ...], tuple[Pattern, ...]], ...]
 )
 
 
-def suite_recurrence(max_n: int = 9, workers: int = 1) -> list[Check]:
+def suite_recurrence(max_n: int = 9, workers: int = 1, memo: dict | None = None) -> list[Check]:
+    memo = {} if memo is None else memo
     checks = []
     for pats in AVOID_BATTERY:
         name = "recurrence vs census: avoid {" + ", ".join(map(str, pats)) + "}"
-        checks.append(_series_check(name, avoid_set_gf(pats), pats, (), max_n, workers))
+        checks.append(_series_check(name, avoid_set_gf(pats), pats, (), max_n, workers, memo))
     for avoid, once in EXACT_BATTERY:
         name = f"recurrence vs census: avoid {avoid} once {once}"
         checks.append(_series_check(name, avoid_contain_gf(avoid, once),
-                                    avoid, once, max_n, workers))
+                                    avoid, once, max_n, workers, memo))
     extra_n = min(max_n, 8)
     for avoid, once in EXTRA_EXACT_BATTERY:
         name = f"recurrence vs census (extra): avoid {avoid} once {once}"
         checks.append(_series_check(name, avoid_contain_gf(avoid, once),
-                                    avoid, once, extra_n, workers))
+                                    avoid, once, extra_n, workers, memo))
     for l in (1, 2):
         for k in range(l, 7):
             name = f"recurrence == catalog for tail family k={k}, l={l}"
@@ -353,9 +357,11 @@ def suite_recurrence(max_n: int = 9, workers: int = 1) -> list[Check]:
 
 
 def run_suites(names, *, order: int = 16, max_n: int = 9, workers: int = 1) -> dict:
-    """Run the named suites (or all) and bundle a JSON-ready report."""
+    """Run the named suites (or all) and bundle a JSON-ready report.  The
+    suites share one census memo, so no query is counted twice."""
     wanted = list(SUITE_NAMES) if "all" in names else list(names)
     report = {"suites": {}, "passed": True}
+    memo: dict = {}
     for name in wanted:
         if name == "algebra":
             checks = suite_algebra()
@@ -364,9 +370,9 @@ def run_suites(names, *, order: int = 16, max_n: int = 9, workers: int = 1) -> d
         elif name == "catalog":
             checks = suite_catalog()
         elif name == "oracle":
-            checks = suite_oracle(max_n=max_n, workers=workers)
+            checks = suite_oracle(max_n=max_n, workers=workers, memo=memo)
         elif name == "recurrence":
-            checks = suite_recurrence(max_n=max_n, workers=workers)
+            checks = suite_recurrence(max_n=max_n, workers=workers, memo=memo)
         else:
             raise ValueError(f"unknown suite {name!r}")
         report["suites"][name] = [c.as_dict() for c in checks]

@@ -1,5 +1,8 @@
 """Reduced Chebyshev sequence and the k-step continued fraction."""
 
+import sys
+from math import comb
+
 import pytest
 
 from patgf import (
@@ -34,6 +37,15 @@ def test_q_sequence():
         assert reduced_chebyshev(k).coefficient(0) == 1
     with pytest.raises(IndexOutOfRange):
         reduced_chebyshev(-2)
+
+
+def test_q_past_the_recursion_limit():
+    # q_k = sum_j (-1)^j C(k-j, j) x^j, asked for with nothing cached
+    k = sys.getrecursionlimit() + 100
+    reduced_chebyshev.cache_clear()
+    q = reduced_chebyshev(k)
+    assert q.degree == k // 2
+    assert all(q.coefficient(j) == (-1) ** j * comb(k - j, j) for j in range(k // 2 + 1))
 
 
 def test_cf_iterative_examples():

@@ -80,6 +80,18 @@ def test_exit_code_bad_counts(capsys, argv):
     assert (code, out) == (2, "") and "must be at least" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["gf", "catalog:u2k-both", "--k", "5", "--l", "3"], "--l"),
+    (["gf", "recurrence", "--avoid", "231", "--k", "3", "--t", "12"], "--k"),
+    (["gf", "catalog:ulk", "--k", "4", "--l", "2", "--t", "123"], "--t"),
+    (["gf", "catalog:ulk", "--k", "4", "--l", "2", "--avoid", "12"], "--avoid"),
+    (["table", "--family", "u2k-both", "--k", "3", "--l", "9"], "--l"),
+])
+def test_exit_code_unread_flag(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and f"{flag} is not used" in err
+
+
 def test_exit_code_unexpected_exception(capsys, monkeypatch):
     def overflow(args):
         raise RecursionError("maximum recursion depth exceeded")
