@@ -19,25 +19,19 @@ from .chebyshev import (
 from .decompose import (
     CanonicalDecomposition,
     decompose,
-    head,
-    prefix,
     rtl_maxima,
-    suffix,
 )
 from .engine import (
-    GfResult,
     GfState,
     at_least_once_expansion,
     avoid_contain_gf,
     avoid_set_gf,
-    evaluate_query,
     u2k_both_once_gf,
     ulk_avoid_gf,
     ulk_exact_once_gf,
     ulk_members,
 )
 from .errors import (
-    CyclicStateReference,
     DegenerateContinuedFraction,
     DivisionByZero,
     DuplicateEntries,

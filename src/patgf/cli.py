@@ -16,7 +16,7 @@ import json
 import sys
 import traceback
 
-from .engine import GfResult, evaluate_query, u2k_both_once_gf, ulk_avoid_gf, ulk_exact_once_gf
+from .engine import avoid_contain_gf, u2k_both_once_gf, ulk_avoid_gf, ulk_exact_once_gf
 from .errors import LengthTooLarge, ParseError, PatgfError
 from .perms import PATTERN_132, PatternQuery, census, census_series, parse_pattern, parse_pattern_set
 from .verify import SUITE_NAMES, run_suites
@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--implicit-132", action="store_true", dest="implicit_132",
                        help="adjoin 132 to the avoid set (engine semantics)")
         p.add_argument("--workers", type=_WORKERS, default=1)
-        p.add_argument("--max-n", type=int, default=None, dest="max_n",
+        p.add_argument("--max-n", type=_COUNT, default=None, dest="max_n",
                        help="override the census feasibility bound")
         if with_n:
             p.add_argument("--n", type=_COUNT, required=True)
@@ -132,49 +132,52 @@ def _cmd_series(args) -> int:
     return EXIT_OK
 
 
-def _need(args, *names) -> list:
-    out = []
-    for name in names:
-        value = getattr(args, name)
-        if value is None:
-            raise ParseError(f"--{name} is required for this source")
-        out.append(value)
-    return out
-
-
-# The flags of `gf` that each source reads; giving any other is an error.
-_GF_READS = {
-    "catalog:ulk": ("k", "l"),
-    "catalog:ulk-once": ("k", "l", "t"),
-    "catalog:u2k-both": ("k",),
-    "recurrence": ("avoid", "exactly_once"),
+# Each catalog family: its generating function and the flags it reads, in
+# the order the function takes them.  --t is the only optional one.
+_FAMILIES = {
+    "ulk": (ulk_avoid_gf, ("k", "l")),
+    "ulk-once": (ulk_exact_once_gf, ("k", "l", "t")),
+    "u2k-both": (u2k_both_once_gf, ("k",)),
 }
 
 
-def _cmd_gf(args) -> int:
+def _reject_unread(args, reads, user: str) -> None:
+    """Giving a flag that `user` does not read is an error."""
     for name in ("k", "l", "t", "avoid", "exactly_once"):
-        if name not in _GF_READS[args.source] and getattr(args, name) is not None:
+        if name not in reads and getattr(args, name, None) is not None:
             flag = "--" + name.replace("_", "-")
-            raise ParseError(f"{flag} is not used by {args.source}")
-    if args.source == "catalog:ulk":
-        k, l = _need(args, "k", "l")
-        result = GfResult(ulk_avoid_gf(k, l), "catalog")
-    elif args.source == "catalog:ulk-once":
-        k, l = _need(args, "k", "l")
-        t = parse_pattern(args.t) if args.t else None
-        result = GfResult(ulk_exact_once_gf(k, l, t), "catalog")
-    elif args.source == "catalog:u2k-both":
-        (k,) = _need(args, "k")
-        result = GfResult(u2k_both_once_gf(k), "catalog")
+            raise ParseError(f"{flag} is not used by {user}")
+
+
+def _catalog_gf(family: str, args, k):
+    """The catalog family's generating function at k, from the flags it reads."""
+    form, reads = _FAMILIES[family]
+    values = {"k": k, "l": args.l, "t": getattr(args, "t", None)}
+    for name in reads:
+        if values[name] is None and name != "t":
+            raise ParseError(f"--{name} is required for this source")
+    if values["t"] is not None:
+        values["t"] = parse_pattern(values["t"])
+    return form(*(values[name] for name in reads))
+
+
+def _cmd_gf(args) -> int:
+    if args.source == "recurrence":
+        _reject_unread(args, ("avoid", "exactly_once"), args.source)
+        value = avoid_contain_gf(parse_pattern_set(args.avoid or ""),
+                                 parse_pattern_set(args.exactly_once or ""))
+        provenance = "recurrence"
     else:
-        result = evaluate_query(parse_pattern_set(args.avoid or ""),
-                                parse_pattern_set(args.exactly_once or ""))
+        family = args.source.removeprefix("catalog:")
+        _reject_unread(args, _FAMILIES[family][1], args.source)
+        value = _catalog_gf(family, args, args.k)
+        provenance = "catalog"
     if args.json:
-        payload = result.value.to_json_dict()
-        payload["provenance"] = result.provenance
+        payload = value.to_json_dict()
+        payload["provenance"] = provenance
         print(json.dumps(payload))
     else:
-        print(result.value.render())
+        print(value.render())
     return EXIT_OK
 
 
@@ -183,8 +186,11 @@ def _cmd_verify(args) -> int:
                         workers=args.workers)
     text = json.dumps(report, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ParseError(f"cannot write --out {args.out}: {exc.strerror}") from None
     if args.json:
         print(text)
     else:
@@ -205,21 +211,11 @@ def _cmd_table(args) -> int:
     k_last = args.k_max if args.k_max is not None else args.k
     if k_last < args.k:
         raise ParseError(f"--k-max must be at least --k ({args.k}), got {k_last}")
-    if args.family == "u2k-both" and args.l is not None:
-        raise ParseError("--l is not used by --family u2k-both")
+    _reject_unread(args, _FAMILIES[args.family][1], f"--family {args.family}")
     rows = []
     for k in range(args.k, k_last + 1):
-        if args.family == "ulk":
-            (l,) = _need(args, "l")
-            f = ulk_avoid_gf(k, l)
-            params = {"k": k, "l": l}
-        elif args.family == "ulk-once":
-            (l,) = _need(args, "l")
-            f = ulk_exact_once_gf(k, l)
-            params = {"k": k, "l": l}
-        else:
-            f = u2k_both_once_gf(k)
-            params = {"k": k}
+        f = _catalog_gf(args.family, args, k)
+        params = {"k": k} if args.l is None else {"k": k, "l": args.l}
         coeffs = f.series(args.order).as_ints()
         rows.append({"params": params, "coefficients": [str(c) for c in coeffs]})
     if args.json:

@@ -10,32 +10,32 @@ The recursion is the block decomposition of a nonempty 132-avoiding
 permutation p around its largest entry n: p = (p', n, p'') where every value
 of p' exceeds every value of p''.  For a pattern t with decomposition
 (B_0, m_0, ..., B_r, m_r), an occurrence of t in p splits at a block
-boundary: writing head(t, j) for the flattened cut just after m_{j-1}
-(head(t, 0) = bare B_0) and s(t, j) for the j-th suffix,
+boundary.  With the cuts `heads`, `prefixes` and `suffixes` of
+`decompose.decompose(t)` (whose docstring fixes their indices), and writing
+h_j = heads[j] and s_j = suffixes[j],
 
-    occ_p(t) = occ_{p'}(head(t,0)) * occ_{p''}(s(t,1))        [n plays m_0]
-             + sum_{j=0..r+1} occ_{p'}(head(t,j)) * occ_{p''}(s(t,j))
+    occ_p(t) = occ_{p'}(h_0) * occ_{p''}(s_1)                 [n plays m_0]
+             + sum_{j=0..r+1} occ_{p'}(h_j) * occ_{p''}(s_j)
 
-with head/suffix out-of-range terms read as the empty pattern (one
-occurrence).  Avoidance and exactly-once constraints then split into
-disjoint cases indexed per pattern:
+where the empty pattern occurs once in everything.  Avoidance and
+exactly-once constraints then split into disjoint cases indexed per pattern:
 
 Avoided pattern t, case a in 0..r (partition by the deepest prefix of the
-chain head(0) < head(2) < ... < head(r+1) still present in p'):
-    left avoids    prefix(t, a)      [= head(0) at a=0, head(a+1) after]
-    left contains  prefix(t, a-1) at least once (vacuous at a=0)
-    right avoids   suffix(t, a)
+chain prefixes[0] < prefixes[1] < ... < prefixes[r] still present in p'):
+    left avoids    prefixes[a]
+    left contains  prefixes[a-1] at least once (vacuous at a=0)
+    right avoids   suffixes[a]
 
 Exactly-once pattern g, case b in 0..r+1 (which addend above is the unique
 occurrence; the b=1 slot is the "n plays m_0" addend, whose left factor must
-avoid head(g,1): the plain head(g,j)-in-p' addend at j=1 is impossible, since
-head(g,1) in p' would pair with the forced n-addend and double the count):
-    b = 0:        left avoids head(g,0);                right: g once
-    b = 1:        left avoids head(g,1), head(g,0) once; right avoids g,
-                  suffix(g,1) once (when r >= 1)
-    2 <= b <= r:  left avoids head(g,b+1), head(g,b) once;
-                  right avoids suffix(g,b-1), suffix(g,b) once
-    b = r+1>=2:   left: g once;                         right avoids suffix(g,r)
+avoid h_1: the plain h_1-in-p' addend at j=1 is impossible, since h_1 in p'
+would pair with the forced n-addend and double the count):
+    b = 0:        left avoids h_0;                  right: g once
+    b = 1:        left avoids h_1, h_0 once;        right avoids g,
+                  s_1 once (when r >= 1)
+    2 <= b <= r:  left avoids h_{b+1}, h_b once;    right avoids s_{b-1},
+                  s_b once
+    b = r+1>=2:   left: g once;                     right avoids s_r
 
 Each case multiplies a left state by a right state, a factor x accounts for
 the entry n itself, and at-least-once constraints are eliminated by
@@ -53,9 +53,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .chebyshev import catalan_poly, cf_closed, reduced_chebyshev, reduced_w
-from .decompose import CanonicalDecomposition, decompose, head, prefix, suffix
+from .decompose import CanonicalDecomposition, decompose
 from .errors import (
-    CyclicStateReference,
     DegenerateContinuedFraction,
     Not132Avoiding,
     PreconditionViolated,
@@ -106,18 +105,6 @@ class GfState:
         return GfState(canonical_patterns(keep), canonical_patterns(once_set))
 
 
-@dataclass(frozen=True)
-class GfResult:
-    """A generating function plus where it came from."""
-
-    value: RatFunc
-    provenance: str  # catalog | recurrence | inclusion-exclusion
-
-    def __post_init__(self):
-        if self.value.den.coefficient(0) == 0:
-            raise PreconditionViolated("generating function must expand at the origin")
-
-
 def _validate_patterns(patterns: Iterable[Pattern]) -> tuple[Pattern, ...]:
     out = []
     for p in patterns:
@@ -160,28 +147,27 @@ def _once_case(d: CanonicalDecomposition, b: int,
     r = d.r
     g = d.pattern
     if b == 0:
-        l_avoid.append(head(d, 0))
+        l_avoid.append(d.heads[0])
         r_once.append(g)
     elif b == 1:
-        l_avoid.append(head(d, 1))
-        h0 = head(d, 0)
-        if h0:
-            l_once.append(h0)
+        l_avoid.append(d.heads[1])
+        if d.heads[0]:
+            l_once.append(d.heads[0])
         r_avoid.append(g)
         if r >= 1:
-            r_once.append(suffix(d, 1))
+            r_once.append(d.suffixes[1])
     elif b <= r:
-        l_avoid.append(head(d, b + 1))
-        l_once.append(head(d, b))
-        r_avoid.append(suffix(d, b - 1))
-        r_once.append(suffix(d, b))
+        l_avoid.append(d.heads[b + 1])
+        l_once.append(d.heads[b])
+        r_avoid.append(d.suffixes[b - 1])
+        r_once.append(d.suffixes[b])
     else:  # b == r + 1, reachable only for r >= 1
         l_once.append(g)
-        r_avoid.append(suffix(d, r))
+        r_avoid.append(d.suffixes[r])
 
 
-def _evaluate(state: GfState, memo: dict, in_progress: set) -> RatFunc:
-    """The generating function of a state, by the block recurrence.
+def _evaluate(state: GfState, memo: dict) -> RatFunc:
+    """The generating function of a nonempty state, by the block recurrence.
 
     A term holds the state itself on at most one side, so the equation for
     it is linear.  Take a pattern of the largest length L in the state; the
@@ -191,76 +177,84 @@ def _evaluate(state: GfState, memo: dict, in_progress: set) -> RatFunc:
     b = r+1 >= 2 and on the right only when b = 0.  Canonicalisation only
     drops patterns, and the avoid and exactly-once sets are disjoint, so the
     left and right states are never both the state.
+
+    No state recurses through itself by way of another, so the recursion
+    needs no cycle guard.  Order states first by the sum of |g| over the
+    exactly-once patterns g, then by the down-closure of the avoid antichain
+    under containment.  Every child state other than the state itself is
+    strictly smaller in that order.  Each g puts at most one exactly-once
+    pattern on a side, of length at most |g|, so the sum never grows; it
+    stays the same only when each g stays exactly-once there as itself
+    (b = r+1 on the left, b = 0 on the right), which puts no avoided pattern
+    there.  Then every avoided pattern on that side is a subpattern of some
+    avoided t (a prefix or suffix of it), so the avoid down-set can only
+    shrink, and an antichain is fixed by its down-set, so it stays the same
+    only when the child is the state.
+
+    No child is empty either.  On each side, every avoided t adds an avoided
+    pattern, and every g adds an avoided pattern or stays exactly-once.
+    Canonicalisation drops an avoided pattern only for a smaller avoided
+    one or for an exactly-once one, and an empty avoided pattern makes the
+    child zero (None), not empty.
     """
     if state in memo:
         return memo[state]
-    if state in in_progress:
-        raise CyclicStateReference(f"states recurse through each other at {state}")
     if state.avoid == ((1,),):
         # Only the empty permutation avoids the pattern 1; canonicalization
         # guarantees the exactly-once side is empty here.
         memo[state] = RF_ONE
         return RF_ONE
-    if not state.avoid and not state.exactly_once:
-        raise PreconditionViolated(
-            "the unrestricted 132-avoiding class has no rational generating function")
 
-    in_progress.add(state)
-    try:
-        davoid = [decompose(t) for t in state.avoid]
-        donce = [decompose(g) for g in state.exactly_once]
-        leading = RF_ZERO if state.exactly_once else RF_ONE
-        self_coeff = RF_ZERO
-        rest = RF_ZERO
-        ranges = [range(d.r + 1) for d in davoid] + [range(d.r + 2) for d in donce]
-        for indices in itertools.product(*ranges):
-            a_idx = indices[:len(davoid)]
-            b_idx = indices[len(davoid):]
-            l_avoid: list[Pattern] = []
-            l_once: list[Pattern] = []
-            l_atleast: list[Pattern] = []
-            r_avoid: list[Pattern] = []
-            r_once: list[Pattern] = []
-            for d, a in zip(davoid, a_idx):
-                l_avoid.append(prefix(d, a))
-                if a >= 1:
-                    prev = prefix(d, a - 1)
-                    if prev:  # the empty pattern occurs in everything
-                        l_atleast.append(prev)
-                r_avoid.append(suffix(d, a))
-            for d, b in zip(donce, b_idx):
-                _once_case(d, b, l_avoid, l_once, r_avoid, r_once)
+    davoid = [decompose(t) for t in state.avoid]
+    donce = [decompose(g) for g in state.exactly_once]
+    leading = RF_ZERO if state.exactly_once else RF_ONE
+    self_coeff = RF_ZERO
+    rest = RF_ZERO
+    ranges = [range(d.r + 1) for d in davoid] + [range(d.r + 2) for d in donce]
+    for indices in itertools.product(*ranges):
+        a_idx = indices[:len(davoid)]
+        b_idx = indices[len(davoid):]
+        l_avoid: list[Pattern] = []
+        l_once: list[Pattern] = []
+        l_atleast: list[Pattern] = []
+        r_avoid: list[Pattern] = []
+        r_once: list[Pattern] = []
+        for d, a in zip(davoid, a_idx):
+            l_avoid.append(d.prefixes[a])
+            if a >= 1 and d.prefixes[a - 1]:  # the empty pattern occurs in everything
+                l_atleast.append(d.prefixes[a - 1])
+            r_avoid.append(d.suffixes[a])
+        for d, b in zip(donce, b_idx):
+            _once_case(d, b, l_avoid, l_once, r_avoid, r_once)
 
-            right = GfState.make(r_avoid, r_once)
-            if right is None:
+        right = GfState.make(r_avoid, r_once)
+        if right is None:
+            continue
+        right_is_self = right == state
+        right_val = None if right_is_self else _evaluate(right, memo)
+        if right_val is not None and right_val.is_zero():
+            continue
+
+        for sign, left_avoid in at_least_once_expansion(
+                l_avoid, canonical_patterns(l_atleast)):
+            left = GfState.make(left_avoid, l_once)
+            if left is None:
                 continue
-            right_is_self = right == state
-            right_val = None if right_is_self else _evaluate(right, memo, in_progress)
-            if right_val is not None and right_val.is_zero():
-                continue
+            if left == state:
+                self_coeff = self_coeff + sign * RF_X * right_val
+            elif right_is_self:
+                left_val = _evaluate(left, memo)
+                self_coeff = self_coeff + sign * RF_X * left_val
+            else:
+                left_val = _evaluate(left, memo)
+                if not left_val.is_zero():
+                    rest = rest + sign * RF_X * left_val * right_val
 
-            for sign, left_avoid in at_least_once_expansion(
-                    l_avoid, canonical_patterns(l_atleast)):
-                left = GfState.make(left_avoid, l_once)
-                if left is None:
-                    continue
-                if left == state:
-                    self_coeff = self_coeff + sign * RF_X * right_val
-                elif right_is_self:
-                    left_val = _evaluate(left, memo, in_progress)
-                    self_coeff = self_coeff + sign * RF_X * left_val
-                else:
-                    left_val = _evaluate(left, memo, in_progress)
-                    if not left_val.is_zero():
-                        rest = rest + sign * RF_X * left_val * right_val
-
-        denom = RF_ONE - self_coeff
-        if denom.is_zero():
-            raise DegenerateContinuedFraction(
-                f"self-referential equation for {state} is singular")
-        result = (leading + rest) / denom
-    finally:
-        in_progress.discard(state)
+    denom = RF_ONE - self_coeff
+    if denom.is_zero():
+        raise DegenerateContinuedFraction(
+            f"self-referential equation for {state} is singular")
+    result = (leading + rest) / denom
 
     expected_c0 = 0 if state.exactly_once else 1
     assert result.at_zero() == expected_c0, f"constant term broken for {state}"
@@ -272,13 +266,7 @@ def avoid_set_gf(patterns: Iterable[Pattern]) -> RatFunc:
     """Generating function for avoiding every pattern in the set (plus the
     ambient 132).  Patterns must avoid 132 and be mutually incomparable;
     comparable ones are reduced away rather than rejected."""
-    pats = _validate_patterns(patterns)
-    if not pats:
-        raise PreconditionViolated("at least one pattern is required")
-    state = GfState.make(pats, ())
-    if state is None:
-        return RF_ZERO
-    return _evaluate(state, {}, set())
+    return avoid_contain_gf(patterns, ())
 
 
 def avoid_contain_gf(avoid: Iterable[Pattern], exactly_once: Iterable[Pattern]) -> RatFunc:
@@ -296,7 +284,7 @@ def avoid_contain_gf(avoid: Iterable[Pattern], exactly_once: Iterable[Pattern]) 
     if not state.avoid and not state.exactly_once:
         raise PreconditionViolated(
             "constraints reduce to the unrestricted class, which is not rational")
-    return _evaluate(state, {}, set())
+    return _evaluate(state, {})
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +343,3 @@ def u2k_both_once_gf(k: int) -> RatFunc:
         total = total + RatFunc(Poly([2]) * P_X ** exponent, den)
     return total
 
-
-def evaluate_query(avoid: Iterable[Pattern], exactly_once: Iterable[Pattern] = ()) -> GfResult:
-    """Dispatch a recurrence-engine query and tag the provenance."""
-    a = tuple(tuple(p) for p in avoid)
-    b = tuple(tuple(p) for p in exactly_once)
-    value = avoid_contain_gf(a, b) if b else avoid_set_gf(a)
-    return GfResult(value, "recurrence")

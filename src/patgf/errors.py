@@ -27,7 +27,7 @@ class DuplicateEntries(PatgfError):
 
 
 class IndexOutOfRange(PatgfError):
-    """A prefix/suffix/recurrence index outside its defined range."""
+    """A recurrence or continued-fraction index outside its defined range."""
 
 
 class Not132Avoiding(PatgfError):
@@ -48,7 +48,3 @@ class DegenerateContinuedFraction(PatgfError):
 
 class PreconditionViolated(PatgfError):
     """A documented operation precondition does not hold."""
-
-
-class CyclicStateReference(PatgfError):
-    """Two distinct recurrence states refer to each other."""

@@ -74,6 +74,8 @@ def test_exit_code_parse_error(capsys):
     ["verify", "--suite", "catalog", "--workers", "0"],
     ["verify", "--suite", "chebyshev", "--order", "-1"],
     ["table", "--family", "ulk", "--k", "5", "--k-max", "3", "--l", "2"],
+    ["count", "--n", "3", "--max-n", "-1"],
+    ["series", "--avoid", "123", "--order", "4", "--max-n", "-4"],
 ])
 def test_exit_code_bad_counts(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -90,6 +92,18 @@ def test_exit_code_bad_counts(capsys, argv):
 def test_exit_code_unread_flag(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "") and f"{flag} is not used" in err
+
+
+def test_exit_code_empty_pattern_flag(capsys):
+    code, out, err = run(capsys, "gf", "catalog:ulk-once", "--k", "3", "--l", "2", "--t", "")
+    assert (code, out) == (2, "") and "empty pattern text" in err
+
+
+def test_exit_code_unwritable_out(capsys, tmp_path):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run(capsys, "verify", "--suite", "algebra", "--out", str(target))
+    assert (code, out) == (2, "") and not target.exists()
+    assert err.count("\n") == 1 and "cannot write" in err
 
 
 def test_exit_code_unexpected_exception(capsys, monkeypatch):
@@ -144,6 +158,18 @@ def test_gf_json_round_trip(capsys):
     again = parsed.to_json_dict()
     again["provenance"] = payload["provenance"]
     assert json.dumps(again) == out.strip()
+
+
+def test_gf_provenance(capsys):
+    from patgf import RatFunc, avoid_contain_gf, avoid_set_gf
+    code, out, _ = run(capsys, "gf", "recurrence", "--avoid", "231", "--json")
+    payload = json.loads(out)
+    assert (code, payload.pop("provenance")) == (0, "recurrence")
+    assert RatFunc.from_json_dict(payload) == avoid_set_gf([(2, 3, 1)])
+    code, out, _ = run(capsys, "gf", "recurrence", "--exactly-once", "12", "--json")
+    payload = json.loads(out)
+    assert (code, payload.pop("provenance")) == (0, "recurrence")
+    assert RatFunc.from_json_dict(payload) == avoid_contain_gf([], [(1, 2)])
 
 
 def test_table(capsys):

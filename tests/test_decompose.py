@@ -5,16 +5,12 @@ import itertools
 import pytest
 
 from patgf import (
-    IndexOutOfRange,
     Not132Avoiding,
     PreconditionViolated,
     contains,
     decompose,
     flatten,
-    head,
-    prefix,
     rtl_maxima,
-    suffix,
 )
 
 P132 = (1, 3, 2)
@@ -69,63 +65,52 @@ def test_reassembly_and_dominance():
 
 
 def test_prefix_examples():
-    assert prefix((2, 3, 1), -1) == ()
-    assert prefix((2, 3, 1), 0) == (1,)
-    assert prefix((2, 3, 1), 1) == (2, 3, 1)
-    assert prefix((1, 2, 3, 4), 0) == (1, 2, 3)
-    with pytest.raises(IndexOutOfRange):
-        prefix((2, 3, 1), 2)
-    with pytest.raises(IndexOutOfRange):
-        prefix((2, 3, 1), -2)
+    assert decompose((2, 3, 1)).prefixes == ((1,), (2, 3, 1))
+    assert decompose((1, 2, 3, 4)).prefixes == ((1, 2, 3),)
 
 
 def test_suffix_examples():
-    assert suffix((2, 3, 1), 0) == (2, 3, 1)
-    assert suffix((2, 3, 1), 1) == (1,)
-    assert suffix((2, 3, 1), 2) == ()
-    assert suffix((4, 2, 1, 3), 1) == (2, 1, 3)
-    with pytest.raises(IndexOutOfRange):
-        suffix((2, 3, 1), 3)
+    assert decompose((2, 3, 1)).suffixes == ((2, 3, 1), (1,), ())
+    assert decompose((4, 2, 1, 3)).suffixes == ((4, 2, 1, 3), (2, 1, 3), ())
 
 
 def test_prefix_suffix_chains():
     for n in range(1, 7):
         for p in avoiders(n):
             d = decompose(p)
+            assert (len(d.prefixes), len(d.suffixes)) == (d.r + 1, d.r + 2)
             # the top prefix is the whole pattern once a second maximum exists;
             # at r = 0 it is the bare block (the m_0-free convention)
             if d.r >= 1:
-                assert prefix(d, d.r) == p
+                assert d.prefixes[d.r] == p
             else:
-                assert prefix(d, 0) == flatten(p[:-1])
-            assert suffix(d, 0) == p
+                assert d.prefixes[0] == flatten(p[:-1])
+            assert d.suffixes[0] == p
+            assert d.suffixes[d.r + 1] == ()
+            for i in range(1, d.r + 1):
+                assert contains(d.prefixes[i], d.prefixes[i - 1])
             for i in range(0, d.r + 1):
-                assert contains(prefix(d, i), prefix(d, i - 1))
-            for i in range(0, d.r + 1):
-                assert contains(suffix(d, i), suffix(d, i + 1))
+                assert contains(d.suffixes[i], d.suffixes[i + 1])
 
 
 def test_head_family():
     d = decompose((5, 3, 4, 6, 2, 1))
     assert d.blocks == ((5, 3, 4), (), ())
-    assert head(d, 0) == (3, 1, 2)
-    assert head(d, 1) == flatten((5, 3, 4, 6))
-    assert head(d, 2) == flatten((5, 3, 4, 6, 2))
-    assert head(d, 3) == (5, 3, 4, 6, 2, 1)
-    with pytest.raises(IndexOutOfRange):
-        head(d, 4)
+    assert d.heads == ((3, 1, 2), flatten((5, 3, 4, 6)), flatten((5, 3, 4, 6, 2)),
+                       (5, 3, 4, 6, 2, 1))
+    # the prefixes are the heads without the cut just after m_0
+    assert d.prefixes == (d.heads[0], d.heads[2], d.heads[3])
     # heads form a containment chain
     for n in range(1, 7):
         for p in avoiders(n):
             dd = decompose(p)
+            assert len(dd.heads) == dd.r + 2 and dd.heads[dd.r + 1] == p
             for j in range(dd.r + 1):
-                assert contains(head(dd, j + 1), head(dd, j))
+                assert contains(dd.heads[j + 1], dd.heads[j])
 
 
 def test_prefixes_are_132_avoiding():
     for p in avoiders(6):
         d = decompose(p)
-        for i in range(-1, d.r + 1):
-            assert not contains(prefix(d, i), P132)
-        for i in range(0, d.r + 2):
-            assert not contains(suffix(d, i), P132)
+        for cut in d.heads + d.prefixes + d.suffixes:
+            assert not contains(cut, P132)

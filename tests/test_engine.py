@@ -1,7 +1,11 @@
 """Recurrence engine, inclusion-exclusion transforms, and the closed-form
 catalog, each cross-checked against the census oracle."""
 
+import itertools
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from patgf import (
     GfState,
@@ -17,14 +21,16 @@ from patgf import (
     census,
     census_series,
     cf_iterative,
+    contains,
     u2k_both_once_gf,
     ulk_avoid_gf,
     ulk_exact_once_gf,
     ulk_members,
 )
-from patgf.engine import evaluate_query
 
 P132 = (1, 3, 2)
+AVOIDERS_TO_4 = [p for n in range(1, 5) for p in itertools.permutations(range(1, n + 1))
+                 if not contains(p, P132)]
 
 
 def oracle_series(avoid, once, n_max, extra_avoid=(P132,)):
@@ -276,8 +282,10 @@ def test_u2k_engine_matches_oracle():
         assert engine_series((), pats, 8) == oracle_series((), pats, 8), k
 
 
-def test_evaluate_query_provenance():
-    result = evaluate_query([(2, 3, 1)])
-    assert result.provenance == "recurrence"
-    assert result.value == avoid_set_gf([(2, 3, 1)])
-    assert evaluate_query([], [(1, 2)]).value == avoid_contain_gf([], [(1, 2)])
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(avoid=st.lists(st.sampled_from(AVOIDERS_TO_4), min_size=1, max_size=2, unique=True),
+       once=st.lists(st.sampled_from(AVOIDERS_TO_4), max_size=1))
+def test_engine_matches_census_on_random_queries(avoid, once):
+    assume(not set(avoid) & set(once))
+    assert engine_series(avoid, once, 7) == oracle_series(avoid, once, 7), (avoid, once)
