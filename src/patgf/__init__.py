@@ -11,6 +11,7 @@ from .chebyshev import (
     catalan_poly,
     catalan_series,
     cf_closed,
+    cf_denominator,
     cf_iterative,
     cf_product_closed,
     reduced_chebyshev,
@@ -51,8 +52,6 @@ from .perms import (
     count_occurrences,
     feasibility_bound,
     flatten,
-    format_pattern,
-    format_pattern_set,
     is_permutation,
     parse_pattern,
     parse_pattern_set,

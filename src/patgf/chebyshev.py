@@ -26,7 +26,10 @@ q_k(0) = 1 for k >= 0.  In the same way:
     w_{k,j}:        x^{(k-j)/2} * (U_{k-j} - x*U_{k-j-2})(1/(2*sqrt(x)))
                     = q_{k-j} - x^2*q_{k-j-2}
 
-Each identity is exact in Q(x).
+Each identity is exact in Q(x).  With E = n/d, clearing d from the first
+two gives D_k = d*q_k - x*n*q_{k-1} (`cf_denominator`), R[k; E] = D_{k-1}/D_k
+and prod_{j=1..k} R[j; E] = d/D_k: each closed form is one quotient of
+polynomials.
 
 Formally, the coefficients of R[k; 0] stabilize to the Catalan numbers as k
 grows (coefficient n is Catalan(n) once k > n); the limit object is realized
@@ -35,8 +38,8 @@ here only as the Catalan sequence itself, never as a surd.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .errors import DegenerateContinuedFraction, IndexOutOfRange
 from .ratfunc import P_ONE, P_X, P_ZERO, Poly, PowerSeries, RatFunc, as_ratfunc
@@ -63,42 +66,54 @@ def reduced_chebyshev(k: int) -> Poly:
     return q
 
 
+def cf_denominator(k: int, e) -> Poly:
+    """D_k = den(E)*q_k - x*num(E)*q_{k-1} (k >= 0, where q_{k-1} is defined):
+    the denominator of R[k; E] = D_{k-1}/D_k and of prod_{j<=k} R[j; E] = den(E)/D_k.
+
+    >>> cf_denominator(2, 0).render()
+    '1 - x'
+    >>> cf_denominator(2, RatFunc(P_ONE, Poly([1, -1]))).render()
+    '1 - 3*x + x^2'
+    """
+    e = as_ratfunc(e)
+    return e.den * reduced_chebyshev(k) - P_X * e.num * reduced_chebyshev(k - 1)
+
+
 def cf_iterative(k: int, e) -> RatFunc:
-    """R[k; E] by literally unrolling the definition k times."""
+    """R[k; E] by literally unrolling the definition k times:
+    with R = n/d, each step is 1/(1 - x*n/d) = d/(d - x*n)."""
     if k < 0:
         raise IndexOutOfRange(f"continued fraction depth {k} < 0")
     r = as_ratfunc(e)
     for _ in range(k):
-        den = RatFunc(P_ONE) - RatFunc(P_X) * r
+        den = r.den - P_X * r.num
         if den.is_zero():
             raise DegenerateContinuedFraction(
                 "intermediate denominator 1 - x*R is identically zero")
-        r = RatFunc(P_ONE) / den
+        r = RatFunc(r.den, den)
     return r
 
 
 def cf_closed(k: int, e) -> RatFunc:
-    """R[k; E] via the reduced Chebyshev closed form (k >= 1)."""
+    """R[k; E] = D_{k-1}/D_k, the reduced Chebyshev closed form (k >= 1)."""
     if k < 1:
         raise IndexOutOfRange(f"closed form requires k >= 1, got {k}")
     e = as_ratfunc(e)
-    x = RatFunc(P_X)
-    num = RatFunc(reduced_chebyshev(k - 1)) - x * e * RatFunc(reduced_chebyshev(k - 2))
-    den = RatFunc(reduced_chebyshev(k)) - x * e * RatFunc(reduced_chebyshev(k - 1))
+    den = cf_denominator(k, e)
     if den.is_zero():
         raise DegenerateContinuedFraction("closed-form denominator is identically zero")
-    return num / den
+    return RatFunc(cf_denominator(k - 1, e), den)
 
 
 def cf_product_closed(k: int, e) -> RatFunc:
-    """prod_{j=1..k} R[j; E] via the reduced closed form (k >= 1)."""
+    """prod_{j=1..k} R[j; E] = den(E)/D_k, the reduced closed form (k >= 1)."""
     if k < 1:
         raise IndexOutOfRange(f"product closed form requires k >= 1, got {k}")
     e = as_ratfunc(e)
-    den = RatFunc(reduced_chebyshev(k)) - RatFunc(P_X) * e * RatFunc(reduced_chebyshev(k - 1))
+    den = cf_denominator(k, e)
     if den.is_zero():
         raise DegenerateContinuedFraction("product denominator is identically zero")
-    return RatFunc(P_ONE) / den
+    return RatFunc(e.den, den)
 
 
 def reduced_w(k: int, j: int) -> Poly:
@@ -117,22 +132,19 @@ def reduced_w(k: int, j: int) -> Poly:
 
 
 def catalan_series(order: int) -> PowerSeries:
-    """Catalan numbers c_0..c_order via the convolution recurrence
-    c_{n+1} = sum_{i=0..n} c_i * c_{n-i}.
+    """Catalan numbers c_0..c_order, c_n = binomial(2n, n)/(n + 1).
 
     >>> catalan_series(5).as_ints()
     [1, 1, 2, 5, 14, 42]
     """
     if order < 0:
         raise IndexOutOfRange("catalan_series needs order >= 0")
-    cs = [Fraction(1)]
-    for n in range(order):
-        cs.append(sum((cs[i] * cs[n - i] for i in range(n + 1)), Fraction(0)))
-    return PowerSeries(tuple(cs))
+    # no Catalan number is zero, so all order + 1 coefficients are kept
+    return PowerSeries(catalan_poly(order + 1).coeffs)
 
 
 def catalan_poly(l: int) -> Poly:
     """The partial sum c_0 + c_1*x + ... + c_{l-1}*x^{l-1} (zero for l = 0)."""
-    if l == 0:
-        return P_ZERO
-    return Poly(catalan_series(l - 1).coeffs)
+    if l < 0:
+        raise IndexOutOfRange(f"catalan_poly needs l >= 0, got {l}")
+    return Poly(comb(2 * n, n) // (n + 1) for n in range(l))

@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run self-verification suites")
     p_verify.add_argument("--suite", required=True, choices=list(SUITE_NAMES) + ["all"])
-    p_verify.add_argument("--order", type=_COUNT, default=16)
+    p_verify.add_argument("--order", type=_int_at_least(1), default=16)
     p_verify.add_argument("--max-n", type=_COUNT, default=9, dest="max_n")
     p_verify.add_argument("--workers", type=_WORKERS, default=1)
     p_verify.add_argument("--json", action="store_true")
@@ -105,14 +105,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_query(args) -> PatternQuery:
-    query = PatternQuery(
-        avoid=parse_pattern_set(args.avoid),
+    return PatternQuery(
+        avoid=parse_pattern_set(args.avoid) + ((PATTERN_132,) if args.implicit_132 else ()),
         exactly_once=parse_pattern_set(args.exactly_once),
         at_least_once=parse_pattern_set(args.at_least_once),
     )
-    if args.implicit_132:
-        query = query.with_implicit(PATTERN_132)
-    return query
 
 
 def _cmd_count(args) -> int:

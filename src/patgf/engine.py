@@ -52,7 +52,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .chebyshev import catalan_poly, cf_closed, reduced_chebyshev, reduced_w
+from .chebyshev import catalan_poly, cf_closed, cf_denominator, reduced_w
 from .decompose import CanonicalDecomposition, decompose
 from .errors import (
     DegenerateContinuedFraction,
@@ -199,11 +199,6 @@ def _evaluate(state: GfState, memo: dict) -> RatFunc:
     """
     if state in memo:
         return memo[state]
-    if state.avoid == ((1,),):
-        # Only the empty permutation avoids the pattern 1; canonicalization
-        # guarantees the exactly-once side is empty here.
-        memo[state] = RF_ONE
-        return RF_ONE
 
     davoid = [decompose(t) for t in state.avoid]
     donce = [decompose(g) for g in state.exactly_once]
@@ -257,7 +252,7 @@ def _evaluate(state: GfState, memo: dict) -> RatFunc:
     result = (leading + rest) / denom
 
     expected_c0 = 0 if state.exactly_once else 1
-    assert result.at_zero() == expected_c0, f"constant term broken for {state}"
+    assert result.series(0)[0] == expected_c0, f"constant term broken for {state}"
     memo[state] = result
     return result
 
@@ -313,14 +308,14 @@ def ulk_avoid_gf(k: int, l: int) -> RatFunc:
 
 def ulk_exact_once_gf(k: int, l: int, t: Pattern | None = None) -> RatFunc:
     """Avoiding all tail-fixing patterns but one, containing that one exactly
-    once: x^k / (q_{k-l} - x*E*q_{k-l-1})^2 with E the Catalan partial sum.
+    once: x^k / D_{k-l}^2, with D = `cf_denominator` at the Catalan partial
+    sum E: D_{k-l} = q_{k-l} - x*E*q_{k-l-1}.
     The result does not depend on which member is singled out."""
     if not 1 <= l < k:
         raise PreconditionViolated(f"need 1 <= l < k, got l={l}, k={k}")
     if t is not None and tuple(t) not in ulk_members(k, l):
         raise PreconditionViolated(f"{t} does not fix the increasing tail {l + 1}..{k}")
-    e = catalan_poly(l)
-    den = reduced_chebyshev(k - l) - P_X * e * reduced_chebyshev(k - l - 1)
+    den = cf_denominator(k - l, catalan_poly(l))
     return RatFunc(P_X ** k, den * den)
 
 

@@ -94,18 +94,6 @@ def parse_pattern_set(text: str) -> tuple[Pattern, ...]:
     return canonical_patterns(parse_pattern(part) for part in text.split(";"))
 
 
-def format_pattern(p: Pattern) -> str:
-    if not p:
-        return "eps"
-    if all(v <= 9 for v in p):
-        return "".join(str(v) for v in p)
-    return ",".join(str(v) for v in p)
-
-
-def format_pattern_set(patterns: Iterable[Pattern]) -> str:
-    return ";".join(format_pattern(p) for p in patterns)
-
-
 def canonical_patterns(patterns: Iterable[Pattern]) -> tuple[Pattern, ...]:
     """Deduplicate and sort patterns by (length, lexicographic)."""
     return tuple(sorted(set(patterns), key=lambda p: (len(p), p)))
@@ -131,12 +119,6 @@ class PatternQuery:
                     raise PreconditionViolated(
                         "avoid / exactly-once / at-least-once sets must be disjoint"
                     )
-
-    def with_implicit(self, pattern: Pattern) -> "PatternQuery":
-        """The same query with `pattern` adjoined to the avoid set."""
-        if pattern in self.avoid:
-            return self
-        return PatternQuery(self.avoid + (pattern,), self.exactly_once, self.at_least_once)
 
 
 def count_occurrences(p: Sequence[int], t: Pattern, cap: int | None = None) -> int:

@@ -124,13 +124,6 @@ class Poly:
         c = _coerce(c)
         return Poly([a * c for a in self.coeffs])
 
-    def __call__(self, x0: Coeff) -> Fraction:
-        x0 = _coerce(x0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
-
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Exact polynomial division with remainder over the rationals."""
         if other.is_zero():
@@ -316,13 +309,6 @@ class RatFunc:
                 acc -= self.den.coefficient(i) * out[n - i]
             out.append(acc / d0)
         return PowerSeries(tuple(out))
-
-    def at_zero(self) -> Fraction:
-        """Constant term of the Taylor expansion (den(0) must be nonzero)."""
-        d0 = self.den.coefficient(0)
-        if d0 == 0:
-            raise PoleAtOrigin(f"{self.render()} has a pole at the origin")
-        return self.num.coefficient(0) / d0
 
     # -- rendering ----------------------------------------------------------
 

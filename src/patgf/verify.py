@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .chebyshev import catalan_series, cf_closed, cf_iterative, cf_product_closed, reduced_chebyshev
 from .engine import (
@@ -131,7 +130,7 @@ def suite_algebra() -> list[Check]:
         inv = (RF_ONE / RatFunc(p)).series(order)
         conv = inv.mul(PowerSeries(tuple(
             p.coefficient(i) for i in range(order + 1))))
-        want = tuple([Fraction(1)] + [Fraction(0)] * order)
+        want = (1,) + (0,) * order
         if conv.coeffs != want:
             round_ok = False
             detail = f"1/p convolved with p != 1 at p={p}"

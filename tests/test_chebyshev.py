@@ -14,11 +14,13 @@ from patgf import (
     RatFunc,
     catalan_series,
     cf_closed,
+    cf_denominator,
     cf_iterative,
     cf_product_closed,
     reduced_chebyshev,
     reduced_w,
 )
+from patgf.verify import e_battery
 
 ZERO = RatFunc()
 ONE_PLUS_X = RatFunc(Poly([1, 1]))
@@ -93,6 +95,17 @@ def test_cf_product_matches_literal():
         for k in range(1, 9):
             literal = literal * cf_iterative(k, e)
             assert cf_product_closed(k, e) == literal
+
+
+def test_cf_denominator_matches_quotient_form():
+    # D_k/den(E) is the denominator q_k - x*E*q_{k-1} written over Q(x)
+    x = RatFunc(P_X)
+    for e in [RatFunc(p) for p in e_battery()] + [RatFunc(Poly([2, 1]), Poly([1, -1, 3]))]:
+        for k in range(0, 17):
+            old = RatFunc(reduced_chebyshev(k)) - x * e * RatFunc(reduced_chebyshev(k - 1))
+            assert RatFunc(cf_denominator(k, e), e.den) == old, (k, e)
+    with pytest.raises(IndexOutOfRange):
+        cf_denominator(-1, ZERO)
 
 
 def test_cf_shift_identity():

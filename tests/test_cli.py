@@ -73,6 +73,7 @@ def test_exit_code_parse_error(capsys):
     ["series", "--avoid", "123", "--order", "4", "--workers", "0"],
     ["verify", "--suite", "catalog", "--workers", "0"],
     ["verify", "--suite", "chebyshev", "--order", "-1"],
+    ["verify", "--suite", "chebyshev", "--order", "0"],
     ["table", "--family", "ulk", "--k", "5", "--k-max", "3", "--l", "2"],
     ["count", "--n", "3", "--max-n", "-1"],
     ["series", "--avoid", "123", "--order", "4", "--max-n", "-4"],

@@ -18,9 +18,11 @@ from patgf import (
     at_least_once_expansion,
     avoid_contain_gf,
     avoid_set_gf,
+    catalan_poly,
     census,
     census_series,
     cf_iterative,
+    cf_product_closed,
     contains,
     u2k_both_once_gf,
     ulk_avoid_gf,
@@ -178,8 +180,8 @@ def test_exact_structural_zeroes():
 
 
 def test_constant_terms():
-    assert avoid_set_gf([(2, 3, 1)]).at_zero() == 1
-    assert avoid_contain_gf([], [(2, 1)]).at_zero() == 0
+    assert avoid_set_gf([(2, 3, 1)]).series(0)[0] == 1
+    assert avoid_contain_gf([], [(2, 1)]).series(0)[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +234,15 @@ def test_ulk_exact_once_examples():
     assert ulk_exact_once_gf(3, 1) == RatFunc(x ** 3, Poly([1, -2]) ** 2)
     assert ulk_exact_once_gf(3, 2) == RatFunc(x ** 3, Poly([1, -1, -1]) ** 2)
     assert ulk_exact_once_gf(4, 2) == RatFunc(x ** 4, Poly([1, -2, -1]) ** 2)
+
+
+def test_ulk_exact_once_is_squared_product_form():
+    # the paper's exactly-once family: x^k * (prod_{j<=k-l} R[j; C_l])^2
+    for k in range(2, 9):
+        for l in range(1, k):
+            product = cf_product_closed(k - l, catalan_poly(l))
+            x_k = RatFunc(Poly([0, 1]) ** k)
+            assert ulk_exact_once_gf(k, l) == x_k * product * product, (k, l)
 
 
 def test_ulk_exact_once_member_validation():

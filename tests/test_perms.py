@@ -16,8 +16,6 @@ from patgf import (
     census_series,
     count_occurrences,
     flatten,
-    format_pattern,
-    format_pattern_set,
     is_permutation,
     parse_pattern,
     parse_pattern_set,
@@ -231,12 +229,6 @@ def test_parse_and_format():
     assert parse_pattern("10,1,2,3,4,5,6,7,8,9") == (10, 1, 2, 3, 4, 5, 6, 7, 8, 9)
     assert parse_pattern_set("123;213") == ((1, 2, 3), (2, 1, 3))
     assert parse_pattern_set("") == ()
-    assert format_pattern((1, 3, 2)) == "132"
-    assert format_pattern(()) == "eps"
-    assert format_pattern((10, 1, 2, 3, 4, 5, 6, 7, 8, 9)) == "10,1,2,3,4,5,6,7,8,9"
-    assert format_pattern_set(((1, 2), (2, 1))) == "12;21"
-    round_trip = parse_pattern_set(format_pattern_set(((2, 1, 3), (1, 2))))
-    assert round_trip == ((1, 2), (2, 1, 3))
 
 
 @pytest.mark.parametrize("bad", ["122", "13", "0", "1,2,2", "abc"])
