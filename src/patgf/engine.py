@@ -37,11 +37,13 @@ would pair with the forced n-addend and double the count):
                   s_b once
     b = r+1>=2:   left: g once;                     right avoids s_r
 
-Each case multiplies a left state by a right state, a factor x accounts for
-the entry n itself, and at-least-once constraints are eliminated by
-inclusion-exclusion over the subsets added to the avoid side.  Terms that
-reference the state currently being computed are collected linearly and the
-resulting single-unknown equation F = const + a(x)F + b(x) is solved exactly.
+Each case pairs a left state with a right state; at-least-once constraints
+on the left become inclusion-exclusion over subsets added to the avoid side.
+`_child_pairs` gathers all of a state's cases into one signed multiset of
+(left, right) pairs, so F = [no exactly-once patterns] + x*sum c*F(L)*F(R),
+with one factor x for the entry n.  A pair holds the state itself on at
+most one side, so this is one linear equation per state, solved once by
+`_evaluate`.
 The b=1 reading above is pinned by the exhaustive census: the verification
 battery compares every engine output against brute-force counts.
 """
@@ -54,11 +56,7 @@ from typing import Iterable, Sequence
 
 from .chebyshev import catalan_poly, cf_closed, cf_denominator, reduced_w
 from .decompose import CanonicalDecomposition, decompose
-from .errors import (
-    DegenerateContinuedFraction,
-    Not132Avoiding,
-    PreconditionViolated,
-)
+from .errors import Not132Avoiding, PreconditionViolated
 from .perms import PATTERN_132, Pattern, canonical_patterns, contains, count_occurrences, is_permutation
 from .ratfunc import P_X, RF_ONE, RF_X, RF_ZERO, Poly, RatFunc
 
@@ -166,10 +164,12 @@ def _once_case(d: CanonicalDecomposition, b: int,
         r_avoid.append(d.suffixes[r])
 
 
-def _evaluate(state: GfState, memo: dict) -> RatFunc:
-    """The generating function of a nonempty state, by the block recurrence.
+def _child_pairs(state: GfState) -> dict[tuple[GfState, GfState], int]:
+    """A nonempty state's cases as a signed multiset: the net coefficient of
+    each (left, right) child pair over every case and inclusion-exclusion
+    term, leaving out zero children and the pairs whose signs cancel.
 
-    A term holds the state itself on at most one side, so the equation for
+    A pair holds the state itself on at most one side, so the equation for
     it is linear.  Take a pattern of the largest length L in the state; the
     cases add a length-L pattern to either side only as itself.  An avoided
     t reaches the left state only when a = r >= 1 and the right only when
@@ -197,59 +197,56 @@ def _evaluate(state: GfState, memo: dict) -> RatFunc:
     one or for an exactly-once one, and an empty avoided pattern makes the
     child zero (None), not empty.
     """
-    if state in memo:
-        return memo[state]
-
     davoid = [decompose(t) for t in state.avoid]
     donce = [decompose(g) for g in state.exactly_once]
-    leading = RF_ZERO if state.exactly_once else RF_ONE
-    self_coeff = RF_ZERO
-    rest = RF_ZERO
+    terms: dict[tuple[GfState, GfState], int] = {}
     ranges = [range(d.r + 1) for d in davoid] + [range(d.r + 2) for d in donce]
     for indices in itertools.product(*ranges):
-        a_idx = indices[:len(davoid)]
-        b_idx = indices[len(davoid):]
         l_avoid: list[Pattern] = []
         l_once: list[Pattern] = []
         l_atleast: list[Pattern] = []
         r_avoid: list[Pattern] = []
         r_once: list[Pattern] = []
-        for d, a in zip(davoid, a_idx):
+        for d, a in zip(davoid, indices):
             l_avoid.append(d.prefixes[a])
             if a >= 1 and d.prefixes[a - 1]:  # the empty pattern occurs in everything
                 l_atleast.append(d.prefixes[a - 1])
             r_avoid.append(d.suffixes[a])
-        for d, b in zip(donce, b_idx):
+        for d, b in zip(donce, indices[len(davoid):]):
             _once_case(d, b, l_avoid, l_once, r_avoid, r_once)
 
         right = GfState.make(r_avoid, r_once)
         if right is None:
             continue
-        right_is_self = right == state
-        right_val = None if right_is_self else _evaluate(right, memo)
-        if right_val is not None and right_val.is_zero():
-            continue
-
         for sign, left_avoid in at_least_once_expansion(
                 l_avoid, canonical_patterns(l_atleast)):
             left = GfState.make(left_avoid, l_once)
-            if left is None:
-                continue
-            if left == state:
-                self_coeff = self_coeff + sign * RF_X * right_val
-            elif right_is_self:
-                left_val = _evaluate(left, memo)
-                self_coeff = self_coeff + sign * RF_X * left_val
-            else:
-                left_val = _evaluate(left, memo)
-                if not left_val.is_zero():
-                    rest = rest + sign * RF_X * left_val * right_val
+            if left is not None:
+                terms[left, right] = terms.get((left, right), 0) + sign
+    return {pair: c for pair, c in terms.items() if c}
 
-    denom = RF_ONE - self_coeff
-    if denom.is_zero():
-        raise DegenerateContinuedFraction(
-            f"self-referential equation for {state} is singular")
-    result = (leading + rest) / denom
+
+def _evaluate(state: GfState, memo: dict) -> RatFunc:
+    """Solve the one linear equation `_child_pairs` gives for a nonempty
+    state: F = (leading + x*rest) / (1 - x*S), where S sums the pairs that
+    hold the state on one side.  Every child value has passed the
+    constant-term check below, so it is a power series (den(0) != 0); so
+    is S, and 1 - x*S has constant term 1, so it is never zero.
+    """
+    if state in memo:
+        return memo[state]
+
+    self_coeff = rest = RF_ZERO
+    for (left, right), c in _child_pairs(state).items():
+        if state in (left, right):
+            other = right if left == state else left
+            self_coeff = self_coeff + c * _evaluate(other, memo)
+        else:
+            right_val = _evaluate(right, memo)
+            if not right_val.is_zero():
+                rest = rest + c * _evaluate(left, memo) * right_val
+    leading = RF_ZERO if state.exactly_once else RF_ONE
+    result = (leading + RF_X * rest) / (RF_ONE - RF_X * self_coeff)
 
     expected_c0 = 0 if state.exactly_once else 1
     assert result.series(0)[0] == expected_c0, f"constant term broken for {state}"
@@ -313,7 +310,8 @@ def ulk_exact_once_gf(k: int, l: int, t: Pattern | None = None) -> RatFunc:
     The result does not depend on which member is singled out."""
     if not 1 <= l < k:
         raise PreconditionViolated(f"need 1 <= l < k, got l={l}, k={k}")
-    if t is not None and tuple(t) not in ulk_members(k, l):
+    # a member has length k, a permutation of 1..l first and then l+1..k
+    if t is not None and tuple(sorted(t[:l])) + tuple(t[l:]) != tuple(range(1, k + 1)):
         raise PreconditionViolated(f"{t} does not fix the increasing tail {l + 1}..{k}")
     den = cf_denominator(k - l, catalan_poly(l))
     return RatFunc(P_X ** k, den * den)

@@ -24,15 +24,18 @@ from patgf import (
     cf_iterative,
     cf_product_closed,
     contains,
+    flatten,
     u2k_both_once_gf,
     ulk_avoid_gf,
     ulk_exact_once_gf,
     ulk_members,
 )
+from patgf.engine import _child_pairs
 
 P132 = (1, 3, 2)
-AVOIDERS_TO_4 = [p for n in range(1, 5) for p in itertools.permutations(range(1, n + 1))
+AVOIDERS_TO_5 = [p for n in range(1, 6) for p in itertools.permutations(range(1, n + 1))
                  if not contains(p, P132)]
+AVOIDERS_TO_4 = [p for p in AVOIDERS_TO_5 if len(p) <= 4]
 
 
 def oracle_series(avoid, once, n_max, extra_avoid=(P132,)):
@@ -203,6 +206,39 @@ def test_state_canonicalization():
     assert s.avoid == ((1,),)
 
 
+def _down_set(patterns):
+    """Every pattern contained in one of the patterns, the empty one included."""
+    return {flatten([p[i] for i in keep]) for p in patterns
+            for size in range(len(p) + 1) for keep in itertools.combinations(range(len(p)), size)}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(avoid=st.lists(st.sampled_from(AVOIDERS_TO_5), min_size=1, max_size=2, unique=True),
+       once=st.lists(st.sampled_from(AVOIDERS_TO_5), max_size=2, unique=True))
+def test_child_pairs_shrink_in_the_recursion_order(avoid, once):
+    # the order on states that lets the recursion go without a cycle guard,
+    # checked on every state the recursion reaches from the query
+    root = GfState.make(avoid, once)
+    assume(root is not None and not set(avoid) & set(once))
+    todo, seen = [root], {root}
+    while todo:
+        state = todo.pop()
+        size = sum(len(g) for g in state.exactly_once)
+        down = _down_set(state.avoid)
+        for left, right in _child_pairs(state):
+            assert (left, right) != (state, state)
+            for child in (left, right):
+                assert child.avoid or child.exactly_once, (state, child)
+                if child == state:
+                    continue
+                child_size = sum(len(g) for g in child.exactly_once)
+                assert child_size <= size, (state, child)
+                assert child_size < size or _down_set(child.avoid) < down, (state, child)
+                if child not in seen:
+                    seen.add(child)
+                    todo.append(child)
+
+
 # ---------------------------------------------------------------------------
 # closed-form catalog
 # ---------------------------------------------------------------------------
@@ -247,8 +283,12 @@ def test_ulk_exact_once_is_squared_product_form():
 
 def test_ulk_exact_once_member_validation():
     assert ulk_exact_once_gf(3, 2, (2, 1, 3)) == ulk_exact_once_gf(3, 2, (1, 2, 3))
-    with pytest.raises(PreconditionViolated):
-        ulk_exact_once_gf(3, 2, (3, 2, 1))
+    # checked directly, without listing the 11! members
+    member = (11, 1, 10, 2, 9, 3, 8, 4, 7, 5, 6, 12)
+    assert ulk_exact_once_gf(12, 11, member) == ulk_exact_once_gf(12, 11)
+    for bad in ((3, 2, 1), (2, 1), (2, 1, 3, 4), (1, 1, 3)):
+        with pytest.raises(PreconditionViolated):
+            ulk_exact_once_gf(3, 2, bad)
     with pytest.raises(PreconditionViolated):
         ulk_exact_once_gf(3, 3)
 
@@ -296,7 +336,7 @@ def test_u2k_engine_matches_oracle():
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(avoid=st.lists(st.sampled_from(AVOIDERS_TO_4), min_size=1, max_size=2, unique=True),
-       once=st.lists(st.sampled_from(AVOIDERS_TO_4), max_size=1))
+       once=st.lists(st.sampled_from(AVOIDERS_TO_4), max_size=2, unique=True))
 def test_engine_matches_census_on_random_queries(avoid, once):
     assume(not set(avoid) & set(once))
     assert engine_series(avoid, once, 7) == oracle_series(avoid, once, 7), (avoid, once)
