@@ -18,32 +18,35 @@ h_j = heads[j] and s_j = suffixes[j],
              + sum_{j=0..r+1} occ_{p'}(h_j) * occ_{p''}(s_j)
 
 where the empty pattern occurs once in everything.  Avoidance and
-exactly-once constraints then split into disjoint cases indexed per pattern:
+exactly-once constraints then split into disjoint cases, one row per case
+and pattern.  An avoided t has rows a = 0..r, split by the deepest prefix of
+the chain prefixes[0] < ... < prefixes[r] still present in p'.  An
+exactly-once g has rows b = 0..r+1, split by which addend above is its
+unique occurrence; b = 1 is the "n plays m_0" addend, whose left factor must
+avoid h_1, since h_1 in p' would pair with the forced n-addend and double
+the count.  With p_a = prefixes[a], the rows are, in the order `_cases`
+returns them:
 
-Avoided pattern t, case a in 0..r (partition by the deepest prefix of the
-chain prefixes[0] < prefixes[1] < ... < prefixes[r] still present in p'):
-    left avoids    prefixes[a]
-    left contains  prefixes[a-1] at least once (vacuous at a=0)
-    right avoids   suffixes[a]
+                          left:                        right:
+                          avoids   once     >= once    avoids   once
+    avoided t, a = 0..r   p_a      -        p_{a-1} *  s_a      -
+    once g, b = 0         h_0      -        -          -        g
+    once g, b = 1         h_1      h_0 **   -          g        s_1 ***
+    once g, b = 2..r      h_{b+1}  h_b      -          s_{b-1}  s_b
+    once g, b = r+1 >= 2  -        g        -          s_r      -
 
-Exactly-once pattern g, case b in 0..r+1 (which addend above is the unique
-occurrence; the b=1 slot is the "n plays m_0" addend, whose left factor must
-avoid h_1: the plain h_1-in-p' addend at j=1 is impossible, since h_1 in p'
-would pair with the forced n-addend and double the count):
-    b = 0:        left avoids h_0;                  right: g once
-    b = 1:        left avoids h_1, h_0 once;        right avoids g,
-                  s_1 once (when r >= 1)
-    2 <= b <= r:  left avoids h_{b+1}, h_b once;    right avoids s_{b-1},
-                  s_b once
-    b = r+1>=2:   left: g once;                     right avoids s_r
+    *   only when a >= 1 and p_{a-1} is nonempty (the empty pattern occurs
+        in everything)
+    **  only when h_0 is nonempty
+    *** only when r >= 1
 
-Each case pairs a left state with a right state; at-least-once constraints
-on the left become inclusion-exclusion over subsets added to the avoid side.
-`_child_pairs` gathers all of a state's cases into one signed multiset of
-(left, right) pairs, so F = [no exactly-once patterns] + x*sum c*F(L)*F(R),
-with one factor x for the entry n.  A pair holds the state itself on at
-most one side, so this is one linear equation per state, solved once by
-`_evaluate`.
+A case picks one row per pattern and joins each column; its left
+at-least-once column becomes inclusion-exclusion over subsets added to the
+left avoid set.  `_child_pairs` gathers all of a state's cases into one
+signed multiset of (left, right) pairs, so
+F = [no exactly-once patterns] + x*sum c*F(L)*F(R), with one factor x for
+the entry n.  A pair holds the state itself on at most one side, so this is
+one linear equation per state, solved once by `_evaluate`.
 The b=1 reading above is pinned by the exhaustive census: the verification
 battery compares every engine output against brute-force counts.
 """
@@ -55,7 +58,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .chebyshev import catalan_poly, cf_closed, cf_denominator, reduced_w
-from .decompose import CanonicalDecomposition, decompose
+from .decompose import decompose
 from .errors import Not132Avoiding, PreconditionViolated
 from .perms import PATTERN_132, Pattern, canonical_patterns, contains, count_occurrences, is_permutation
 from .ratfunc import P_X, RF_ONE, RF_X, RF_ZERO, Poly, RatFunc
@@ -139,29 +142,21 @@ def at_least_once_expansion(avoid: Iterable[Pattern], at_least: Sequence[Pattern
 # The block recurrence
 # ---------------------------------------------------------------------------
 
-def _once_case(d: CanonicalDecomposition, b: int,
-               l_avoid: list, l_once: list, r_avoid: list, r_once: list) -> None:
-    """Append the case-b constraints for one exactly-once pattern."""
-    r = d.r
-    g = d.pattern
-    if b == 0:
-        l_avoid.append(d.heads[0])
-        r_once.append(g)
-    elif b == 1:
-        l_avoid.append(d.heads[1])
-        if d.heads[0]:
-            l_once.append(d.heads[0])
-        r_avoid.append(g)
-        if r >= 1:
-            r_once.append(d.suffixes[1])
-    elif b <= r:
-        l_avoid.append(d.heads[b + 1])
-        l_once.append(d.heads[b])
-        r_avoid.append(d.suffixes[b - 1])
-        r_once.append(d.suffixes[b])
-    else:  # b == r + 1, reachable only for r >= 1
-        l_once.append(g)
-        r_avoid.append(d.suffixes[r])
+def _cases(t: Pattern, once: bool) -> list[tuple[tuple[Pattern, ...], ...]]:
+    """The rows of the module docstring's table for an avoided (once=False)
+    or exactly-once (once=True) pattern t: each row is (left avoids, left
+    once, left at least once, right avoids, right once)."""
+    d = decompose(t)
+    r, h, p, s = d.r, d.heads, d.prefixes, d.suffixes
+    if not once:
+        return [((p[a],), (), (p[a - 1],) if a >= 1 and p[a - 1] else (), (s[a],), ())
+                for a in range(r + 1)]
+    rows = [((h[0],), (), (), (), (t,)),
+            ((h[1],), (h[0],) if h[0] else (), (), (t,), (s[1],) if r >= 1 else ())]
+    rows += [((h[b + 1],), (h[b],), (), (s[b - 1],), (s[b],)) for b in range(2, r + 1)]
+    if r >= 1:
+        rows.append(((), (t,), (), (s[r],), ()))
+    return rows
 
 
 def _child_pairs(state: GfState) -> dict[tuple[GfState, GfState], int]:
@@ -197,24 +192,13 @@ def _child_pairs(state: GfState) -> dict[tuple[GfState, GfState], int]:
     one or for an exactly-once one, and an empty avoided pattern makes the
     child zero (None), not empty.
     """
-    davoid = [decompose(t) for t in state.avoid]
-    donce = [decompose(g) for g in state.exactly_once]
+    rows = [_cases(t, False) for t in state.avoid]
+    rows += [_cases(g, True) for g in state.exactly_once]
     terms: dict[tuple[GfState, GfState], int] = {}
-    ranges = [range(d.r + 1) for d in davoid] + [range(d.r + 2) for d in donce]
-    for indices in itertools.product(*ranges):
-        l_avoid: list[Pattern] = []
-        l_once: list[Pattern] = []
-        l_atleast: list[Pattern] = []
-        r_avoid: list[Pattern] = []
-        r_once: list[Pattern] = []
-        for d, a in zip(davoid, indices):
-            l_avoid.append(d.prefixes[a])
-            if a >= 1 and d.prefixes[a - 1]:  # the empty pattern occurs in everything
-                l_atleast.append(d.prefixes[a - 1])
-            r_avoid.append(d.suffixes[a])
-        for d, b in zip(donce, indices[len(davoid):]):
-            _once_case(d, b, l_avoid, l_once, r_avoid, r_once)
-
+    for case in itertools.product(*rows):
+        # lists, not tuples: tuples raised the peak memory of ulk(6,4) by 0.5 MB
+        l_avoid, l_once, l_atleast, r_avoid, r_once = (
+            list(itertools.chain.from_iterable(column)) for column in zip(*case))
         right = GfState.make(r_avoid, r_once)
         if right is None:
             continue

@@ -102,7 +102,8 @@ def canonical_patterns(patterns: Iterable[Pattern]) -> tuple[Pattern, ...]:
 @dataclass(frozen=True)
 class PatternQuery:
     """Occurrence constraints: avoid all of A, each of B exactly once, each of
-    C at least once.  The three sets must be pairwise disjoint."""
+    C at least once.  Every pattern must be a permutation of 1..k (the empty
+    pattern included), and the three sets must be pairwise disjoint."""
 
     avoid: tuple[Pattern, ...] = ()
     exactly_once: tuple[Pattern, ...] = ()
@@ -113,6 +114,9 @@ class PatternQuery:
         object.__setattr__(self, "exactly_once", canonical_patterns(self.exactly_once))
         object.__setattr__(self, "at_least_once", canonical_patterns(self.at_least_once))
         sets = [set(self.avoid), set(self.exactly_once), set(self.at_least_once)]
+        for t in self.avoid + self.exactly_once + self.at_least_once:
+            if not is_permutation(t):
+                raise PreconditionViolated(f"pattern {t} is not a permutation of 1..{len(t)}")
         for i in range(3):
             for j in range(i + 1, 3):
                 if sets[i] & sets[j]:

@@ -6,9 +6,9 @@ trailing zero; the zero polynomial is the empty tuple.
 
 Rational functions are kept in a canonical form chosen so that structural
 equality coincides with equality of formal power series at the origin:
-gcd(num, den) = 1 and den(0) = 1 whenever den(0) != 0 (otherwise the lowest
-nonzero denominator coefficient is 1).  Every generating function produced by
-this package is Taylor-expandable at 0, so the den(0)=1 anchor applies.
+gcd(num, den) = 1 and the lowest nonzero denominator coefficient is 1, which
+is den(0) whenever den(0) != 0.  Every generating function produced by this
+package is Taylor-expandable at 0, so its denominator has den(0) = 1.
 """
 
 from __future__ import annotations
@@ -89,7 +89,9 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "Poly":
-        return self + (-_as_poly(other))
+        other = _as_poly(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return Poly([self.coefficient(i) - other.coefficient(i) for i in range(n)])
 
     def __rsub__(self, other) -> "Poly":
         return _as_poly(other) - self
@@ -120,10 +122,6 @@ class Poly:
             e >>= 1
         return result
 
-    def scale(self, c: Coeff) -> "Poly":
-        c = _coerce(c)
-        return Poly([a * c for a in self.coeffs])
-
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Exact polynomial division with remainder over the rationals."""
         if other.is_zero():
@@ -143,25 +141,6 @@ class Poly:
             for i, oc in enumerate(other.coeffs):
                 rem[shift + i] -= factor * oc
         return Poly(quo), Poly(rem)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divmod(_as_poly(other))[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(_as_poly(other))[1]
-
-    # -- normal forms -------------------------------------------------------
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.coeffs[-1])
-
-    def lowest_nonzero(self) -> tuple[int, Fraction]:
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i, c
-        raise ValueError("zero polynomial has no nonzero coefficient")
 
     # -- rendering ----------------------------------------------------------
 
@@ -201,8 +180,11 @@ def _as_poly(value) -> Poly:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd by the Euclidean algorithm over the rationals."""
     while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+        a, b = b, a.divmod(b)[1]
+    if a.is_zero():
+        return a
+    lead = a.coeffs[-1]
+    return Poly([c / lead for c in a.coeffs])
 
 
 P_ZERO = Poly()
@@ -226,14 +208,11 @@ class RatFunc:
             return
         g = poly_gcd(num, den)
         if g.degree > 0:
-            num = num // g
-            den = den // g
-        anchor = den.coefficient(0)
-        if anchor == 0:
-            _, anchor = den.lowest_nonzero()
-        inv = 1 / anchor
-        object.__setattr__(self, "num", num.scale(inv))
-        object.__setattr__(self, "den", den.scale(inv))
+            num = num.divmod(g)[0]
+            den = den.divmod(g)[0]
+        anchor = next(c for c in den.coeffs if c != 0)
+        object.__setattr__(self, "num", Poly([c / anchor for c in num.coeffs]))
+        object.__setattr__(self, "den", Poly([c / anchor for c in den.coeffs]))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
@@ -271,7 +250,8 @@ class RatFunc:
         return RatFunc(-self.num, self.den)
 
     def __sub__(self, other) -> "RatFunc":
-        return self + (-as_ratfunc(other))
+        other = as_ratfunc(other)
+        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other) -> "RatFunc":
         return as_ratfunc(other) - self
@@ -328,9 +308,14 @@ class RatFunc:
 
     @staticmethod
     def from_json_dict(data: dict) -> "RatFunc":
+        """Parse what `to_json_dict` writes: `num` and `den` are lists of
+        exact coefficient strings such as "3" or "-1/2"."""
         try:
-            num = Poly([Fraction(s) for s in data["num"]])
-            den = Poly([Fraction(s) for s in data["den"]])
+            parts = data["num"], data["den"]
+            if not all(isinstance(part, list) and all(isinstance(c, str) for c in part)
+                       for part in parts):
+                raise TypeError("num and den must be lists of strings")
+            num, den = (Poly([Fraction(c) for c in part]) for part in parts)
         except (KeyError, ValueError, TypeError) as exc:
             raise ParseError(f"malformed rational-function JSON: {data!r}") from exc
         return RatFunc(num, den)

@@ -69,75 +69,63 @@ def e_battery() -> list[Poly]:
 # ---------------------------------------------------------------------------
 
 
+def _property(name: str, claim: str, holds: str, failure: str | None) -> Check:
+    """A check of `claim` over seeded draws; `failure` describes the first
+    draw that broke it, or is None when every draw held."""
+    if failure is None:
+        return Check(name, "pass", claim, holds)
+    return Check(name, "fail", claim, failure)
+
+
 def suite_algebra() -> list[Check]:
     rng = random.Random(_SEED)
     trials, order = 25, 10
-    checks = []
 
-    ring_ok = True
-    detail = ""
-    for _ in range(trials):
-        a, b, c = (random_poly(rng, 4, 5) for _ in range(3))
-        if (a + b) + c != a + (b + c) or (a * b) * c != a * (b * c) \
-                or a * (b + c) != a * b + a * c or a * b != b * a:
-            ring_ok = False
-            detail = f"failed at {a, b, c}"
-            break
-    checks.append(Check("poly ring axioms (seeded random)", "pass" if ring_ok else "fail",
-                        "associative/commutative/distributive", detail or "hold"))
+    def ring():
+        for _ in range(trials):
+            a, b, c = (random_poly(rng, 4, 5) for _ in range(3))
+            if (a + b) + c != a + (b + c) or (a * b) * c != a * (b * c) \
+                    or a * (b + c) != a * b + a * c or a * b != b * a:
+                return f"failed at {a, b, c}"
 
-    field_ok = True
-    detail = ""
-    for _ in range(trials):
-        num, den = random_poly(rng), random_poly(rng)
-        if den.is_zero():
-            den = P_ONE
-        f = RatFunc(num, den)
-        g = RatFunc(random_poly(rng), P_ONE + Poly([0, 1]) * random_poly(rng, 2, 2))
-        if not f.is_zero() and (g / f) * f != g:
-            field_ok = False
-            detail = f"(g/f)*f != g at {f, g}"
-            break
-        if RatFunc(f.num, f.den) != f:
-            field_ok = False
-            detail = "normalization not idempotent"
-            break
-        if poly_gcd(f.num, f.den).degree > 0:
-            field_ok = False
-            detail = f"common factor survives in {f}"
-            break
-    checks.append(Check("rational field axioms and canonical form", "pass" if field_ok else "fail",
-                        "inverses, idempotent normalization, gcd-free", detail or "hold"))
+    def field():
+        for _ in range(trials):
+            num, den = random_poly(rng), random_poly(rng)
+            f = RatFunc(num, P_ONE if den.is_zero() else den)
+            g = RatFunc(random_poly(rng), P_ONE + Poly([0, 1]) * random_poly(rng, 2, 2))
+            if not f.is_zero() and (g / f) * f != g:
+                return f"(g/f)*f != g at {f, g}"
+            if RatFunc(f.num, f.den) != f:
+                return "normalization not idempotent"
+            if poly_gcd(f.num, f.den).degree > 0:
+                return f"common factor survives in {f}"
 
-    mult_ok = True
-    detail = ""
-    for _ in range(trials):
-        f = RatFunc(random_poly(rng), P_ONE + Poly([0, 1]) * random_poly(rng, 2, 2))
-        g = RatFunc(random_poly(rng), P_ONE + Poly([0, 1]) * random_poly(rng, 2, 2))
-        lhs = (f * g).series(order)
-        rhs = f.series(order).mul(g.series(order))
-        if lhs != rhs:
-            mult_ok = False
-            detail = f"series(f*g) != series(f)*series(g) at {f, g}"
-            break
-    checks.append(Check("series is multiplicative", "pass" if mult_ok else "fail",
-                        "series(f*g) == series(f)*series(g)", detail or "holds"))
+    def multiplicative():
+        for _ in range(trials):
+            f = RatFunc(random_poly(rng), P_ONE + Poly([0, 1]) * random_poly(rng, 2, 2))
+            g = RatFunc(random_poly(rng), P_ONE + Poly([0, 1]) * random_poly(rng, 2, 2))
+            if (f * g).series(order) != f.series(order).mul(g.series(order)):
+                return f"series(f*g) != series(f)*series(g) at {f, g}"
 
-    round_ok = True
-    detail = ""
-    for _ in range(trials):
-        p = P_ONE + Poly([0, 1]) * random_poly(rng, 3, 3)
-        inv = (RF_ONE / RatFunc(p)).series(order)
-        conv = inv.mul(PowerSeries(tuple(
-            p.coefficient(i) for i in range(order + 1))))
-        want = (1,) + (0,) * order
-        if conv.coeffs != want:
-            round_ok = False
-            detail = f"1/p convolved with p != 1 at p={p}"
-            break
-    checks.append(Check("series round trip against denominator", "pass" if round_ok else "fail",
-                        "series(1/p) * p == 1", detail or "holds"))
-    return checks
+    def round_trip():
+        for _ in range(trials):
+            p = P_ONE + Poly([0, 1]) * random_poly(rng, 3, 3)
+            inv = (RF_ONE / RatFunc(p)).series(order)
+            conv = inv.mul(PowerSeries(tuple(p.coefficient(i) for i in range(order + 1))))
+            if conv.coeffs != (1,) + (0,) * order:
+                return f"1/p convolved with p != 1 at p={p}"
+
+    # in this order, so that each property sees the same seeded draws
+    return [
+        _property("poly ring axioms (seeded random)",
+                  "associative/commutative/distributive", "hold", ring()),
+        _property("rational field axioms and canonical form",
+                  "inverses, idempotent normalization, gcd-free", "hold", field()),
+        _property("series is multiplicative",
+                  "series(f*g) == series(f)*series(g)", "holds", multiplicative()),
+        _property("series round trip against denominator",
+                  "series(1/p) * p == 1", "holds", round_trip()),
+    ]
 
 
 def suite_chebyshev(order: int = 16) -> list[Check]:
@@ -361,19 +349,17 @@ def run_suites(names, *, order: int = 16, max_n: int = 9, workers: int = 1) -> d
     wanted = list(SUITE_NAMES) if "all" in names else list(names)
     report = {"suites": {}, "passed": True}
     memo: dict = {}
+    suites = {
+        "algebra": suite_algebra,
+        "chebyshev": lambda: suite_chebyshev(order=order),
+        "catalog": suite_catalog,
+        "oracle": lambda: suite_oracle(max_n=max_n, workers=workers, memo=memo),
+        "recurrence": lambda: suite_recurrence(max_n=max_n, workers=workers, memo=memo),
+    }
     for name in wanted:
-        if name == "algebra":
-            checks = suite_algebra()
-        elif name == "chebyshev":
-            checks = suite_chebyshev(order=order)
-        elif name == "catalog":
-            checks = suite_catalog()
-        elif name == "oracle":
-            checks = suite_oracle(max_n=max_n, workers=workers, memo=memo)
-        elif name == "recurrence":
-            checks = suite_recurrence(max_n=max_n, workers=workers, memo=memo)
-        else:
+        if name not in suites:
             raise ValueError(f"unknown suite {name!r}")
+        checks = suites[name]()
         report["suites"][name] = [c.as_dict() for c in checks]
         if not all(c.passed for c in checks):
             report["passed"] = False

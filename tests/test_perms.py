@@ -218,6 +218,16 @@ def test_pattern_query_disjointness():
         PatternQuery(avoid=((1, 2),), exactly_once=((1, 2),))
 
 
+@pytest.mark.parametrize("sets", [
+    {"avoid": ((1, 1),)},
+    {"exactly_once": ((1, 1),)},
+    {"avoid": ((2, 3),)},
+])
+def test_pattern_query_rejects_non_permutations(sets):
+    with pytest.raises(PreconditionViolated):
+        PatternQuery(**sets)
+
+
 def test_pattern_query_canonical_order():
     q = PatternQuery(avoid=((2, 1, 3), (1, 2), (2, 1, 3)))
     assert q.avoid == ((1, 2), (2, 1, 3))

@@ -8,6 +8,7 @@ import pytest
 
 from patgf import (
     DivisionByZero,
+    ParseError,
     PatternQuery,
     Poly,
     PoleAtOrigin,
@@ -26,6 +27,9 @@ def test_poly_arith_examples():
     assert Poly([1, -1]) * Poly([1, 1]) == Poly([1, 0, -1])
     p = Poly([3, 0, 2, -1])
     assert p - p == Poly()
+    q = Poly([1, Fraction(-1, 2)])
+    assert p - q == p + (-q) == Poly([2, Fraction(1, 2), 2, -1])
+    assert q - p == q + (-p)
     assert Poly([1, -1]) * Poly([1, -2]) == Poly([1, -3, 2])
 
 
@@ -145,6 +149,7 @@ def test_field_axioms_random():
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+        assert a - b == a + (-b)
         if not a.is_zero():
             assert (b / a) * a == b
 
@@ -168,6 +173,16 @@ def test_json_round_trip():
     frac = RatFunc(Poly([1]), Poly([2, -1]))
     again = RatFunc.from_json_dict(json.loads(json.dumps(frac.to_json_dict())))
     assert again == frac
+
+
+@pytest.mark.parametrize("data", [
+    {"num": "12", "den": ["1"]},  # a string, not a list of strings
+    {"num": [0.1], "den": ["1"]},  # a float, not an exact string
+    {"num": ["1"], "den": [1]},
+])
+def test_json_requires_lists_of_strings(data):
+    with pytest.raises(ParseError):
+        RatFunc.from_json_dict(data)
 
 
 def test_rf_scalar_coercion():
