@@ -24,7 +24,6 @@ from .decompose import (
 )
 from .engine import (
     GfState,
-    at_least_once_expansion,
     avoid_contain_gf,
     avoid_set_gf,
     u2k_both_once_gf,

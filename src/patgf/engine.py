@@ -40,10 +40,12 @@ returns them:
     **  only when h_0 is nonempty
     *** only when r >= 1
 
-A case picks one row per pattern and joins each column; its left
-at-least-once column becomes inclusion-exclusion over subsets added to the
-left avoid set.  `_child_pairs` gathers all of a state's cases into one
-signed multiset of (left, right) pairs, so
+A case picks one row per pattern and joins each column.  A left
+at-least-once pattern c is inclusion-exclusion: the signed terms +1, and -1
+with c added to the left avoid set.  `_child_pairs` folds the patterns in
+one at a time, canonicalising both partial sides after each, so it gathers
+all of a state's cases into one signed multiset of (left, right) pairs
+without listing the cases themselves; then
 F = [no exactly-once patterns] + x*sum c*F(L)*F(R), with one factor x for
 the entry n.  A pair holds the state itself on at most one side, so this is
 one linear equation per state, solved once by `_evaluate`.
@@ -55,7 +57,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .chebyshev import catalan_poly, cf_closed, cf_denominator, reduced_w
 from .decompose import decompose
@@ -119,26 +121,6 @@ def _validate_patterns(patterns: Iterable[Pattern]) -> tuple[Pattern, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Inclusion-exclusion transforms
-# ---------------------------------------------------------------------------
-
-def at_least_once_expansion(avoid: Iterable[Pattern], at_least: Sequence[Pattern]
-                            ) -> list[tuple[int, tuple[Pattern, ...]]]:
-    """Rewrite at-least-once constraints as a signed sum of avoidance states.
-
-    Returns the 2^|C| terms ((-1)^{|S|}, avoid + S) over subsets S of the
-    at-least-once set C; summing any counting functional over the terms gives
-    the constrained count.
-    """
-    base = tuple(avoid)
-    out = []
-    for size in range(len(at_least) + 1):
-        for subset in itertools.combinations(at_least, size):
-            out.append(((-1) ** size, canonical_patterns(base + subset)))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # The block recurrence
 # ---------------------------------------------------------------------------
 
@@ -163,6 +145,35 @@ def _child_pairs(state: GfState) -> dict[tuple[GfState, GfState], int]:
     """A nonempty state's cases as a signed multiset: the net coefficient of
     each (left, right) child pair over every case and inclusion-exclusion
     term, leaving out zero children and the pairs whose signs cancel.
+
+    The cases are folded in one pattern at a time.  A frontier maps each
+    pair of canonical partial sides to its net coefficient; each pattern
+    meets every frontier entry with each of its rows, and both sides are
+    canonicalised at once.  A zero side drops its term, and so does a net
+    coefficient of 0.  A row's left at-least-once pattern c becomes the
+    terms +1 and -1 with c avoided.  This equals the inclusion-exclusion
+    over the joined at-least-once set C, which is the product over C of
+    (1 - A_c), where A_c adds c to the avoid set: joining avoid sets is
+    idempotent, so (1 - A_c)^2 = 1 - A_c when two rows bring the same c.
+
+    Merging partial sides by their canonical form is sound because, with
+    X and Y (avoid, exactly-once) pairs joined setwise,
+    make(make(X) + Y) = make(X + Y), and None + Y stays None:
+    - Zero detection is monotone: each zero test asks for patterns that are
+      present, so a zero X stays zero with Y added.  A zero witness of
+      X + Y that uses an avoided a that make(X) dropped passes to what
+      dropped it: a pattern inside a, or an exactly-once g that a holds
+      twice (an exactly-once b containing a then holds g twice, and b != g,
+      since no pattern holds two copies of itself).
+    - A minimal antichain is stable under union: min(min(S) + T) =
+      min(S + T), since every dropped element lies above a kept one.
+    - An avoided pattern dropped for holding two copies of an exactly-once
+      g takes along everything that contains it, since those hold two
+      copies of g as well.  So the drop is the removal of an up-set, which
+      commutes with taking minimal elements and with the union.
+    - The empty pattern stays handled: avoided, it makes X zero at once;
+      exactly-once, it is dropped at once, and adding it again changes
+      nothing.
 
     A pair holds the state itself on at most one side, so the equation for
     it is linear.  Take a pattern of the largest length L in the state; the
@@ -192,22 +203,27 @@ def _child_pairs(state: GfState) -> dict[tuple[GfState, GfState], int]:
     one or for an exactly-once one, and an empty avoided pattern makes the
     child zero (None), not empty.
     """
-    rows = [_cases(t, False) for t in state.avoid]
-    rows += [_cases(g, True) for g in state.exactly_once]
-    terms: dict[tuple[GfState, GfState], int] = {}
-    for case in itertools.product(*rows):
-        # lists, not tuples: tuples raised the peak memory of ulk(6,4) by 0.5 MB
-        l_avoid, l_once, l_atleast, r_avoid, r_once = (
-            list(itertools.chain.from_iterable(column)) for column in zip(*case))
-        right = GfState.make(r_avoid, r_once)
-        if right is None:
-            continue
-        for sign, left_avoid in at_least_once_expansion(
-                l_avoid, canonical_patterns(l_atleast)):
-            left = GfState.make(left_avoid, l_once)
-            if left is not None:
-                terms[left, right] = terms.get((left, right), 0) + sign
-    return {pair: c for pair, c in terms.items() if c}
+    empty = GfState((), ())
+    frontier = {(empty, empty): 1}
+    kinds = [(t, False) for t in state.avoid] + [(g, True) for g in state.exactly_once]
+    for t, once in kinds:
+        rows = _cases(t, once)
+        step: dict[tuple[GfState, GfState], int] = {}
+        for (left, right), c in frontier.items():
+            for l_avoid, l_once, l_atleast, r_avoid, r_once in rows:
+                new_right = GfState.make(right.avoid + r_avoid, right.exactly_once + r_once)
+                if new_right is None:
+                    continue
+                terms = [(c, l_avoid)]
+                if l_atleast:
+                    terms.append((-c, l_avoid + l_atleast))
+                for coeff, avoid in terms:
+                    new_left = GfState.make(left.avoid + avoid, left.exactly_once + l_once)
+                    if new_left is not None:
+                        pair = new_left, new_right
+                        step[pair] = step.get(pair, 0) + coeff
+        frontier = {pair: c for pair, c in step.items() if c}
+    return frontier
 
 
 def _evaluate(state: GfState, memo: dict) -> RatFunc:

@@ -206,10 +206,12 @@ class RatFunc:
             object.__setattr__(self, "num", P_ZERO)
             object.__setattr__(self, "den", P_ONE)
             return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
+        # a nonzero constant has gcd 1 with anything
+        if num.degree > 0 and den.degree > 0:
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num = num.divmod(g)[0]
+                den = den.divmod(g)[0]
         anchor = next(c for c in den.coeffs if c != 0)
         object.__setattr__(self, "num", Poly([c / anchor for c in num.coeffs]))
         object.__setattr__(self, "den", Poly([c / anchor for c in den.coeffs]))

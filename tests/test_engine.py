@@ -15,7 +15,6 @@ from patgf import (
     PreconditionViolated,
     RF_ONE,
     RatFunc,
-    at_least_once_expansion,
     avoid_contain_gf,
     avoid_set_gf,
     catalan_poly,
@@ -30,7 +29,8 @@ from patgf import (
     ulk_exact_once_gf,
     ulk_members,
 )
-from patgf.engine import _child_pairs
+from patgf.engine import _cases, _child_pairs
+from patgf.perms import canonical_patterns
 
 P132 = (1, 3, 2)
 AVOIDERS_TO_5 = [p for n in range(1, 6) for p in itertools.permutations(range(1, n + 1))
@@ -52,21 +52,30 @@ def engine_series(avoid, once, n_max):
 # inclusion-exclusion transforms
 # ---------------------------------------------------------------------------
 
+def _at_least_once_expansion(avoid, at_least):
+    """At-least-once constraints as signed avoid sets: the 2^|C| terms
+    ((-1)^|S|, avoid + S) over subsets S of the at-least-once set C."""
+    base = tuple(avoid)
+    return [((-1) ** size, canonical_patterns(base + subset))
+            for size in range(len(at_least) + 1)
+            for subset in itertools.combinations(at_least, size)]
+
+
 def eval_combination(terms, n):
     return sum(sign * census(PatternQuery(avoid=state), n) for sign, state in terms)
 
 
 def test_at_least_once_expansion_examples():
-    terms = at_least_once_expansion([P132], [(1, 2)])
+    terms = _at_least_once_expansion([P132], [(1, 2)])
     assert eval_combination(terms, 2) == 1
-    assert at_least_once_expansion([(2, 1)], []) == [(1, ((2, 1),))]
-    terms = at_least_once_expansion([], [(1, 2), (2, 1)])
+    assert _at_least_once_expansion([(2, 1)], []) == [(1, ((2, 1),))]
+    terms = _at_least_once_expansion([], [(1, 2), (2, 1)])
     assert len(terms) == 4
     assert eval_combination(terms, 2) == 0
     # direct oracle agreement for a bigger case
     for n in range(6):
         direct = census(PatternQuery(avoid=(P132,), at_least_once=((1, 2), (2, 1))), n)
-        assert eval_combination(at_least_once_expansion([P132], [(1, 2), (2, 1)]), n) == direct
+        assert eval_combination(_at_least_once_expansion([P132], [(1, 2), (2, 1)]), n) == direct
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +221,50 @@ def _down_set(patterns):
             for size in range(len(p) + 1) for keep in itertools.combinations(range(len(p)), size)}
 
 
+def _reached_states(root):
+    """Every state the recursion reaches from root, root included."""
+    todo, seen = [root], {root}
+    while todo:
+        state = todo.pop()
+        yield state
+        for pair in _child_pairs(state):
+            for child in pair:
+                if child not in seen:
+                    seen.add(child)
+                    todo.append(child)
+
+
+def _child_pairs_product(state):
+    """The reference that `_child_pairs` folds: the product of every
+    pattern's rows, each case joined column by column, its right side made
+    once and its left at-least-once column expanded over subsets."""
+    rows = [_cases(t, False) for t in state.avoid]
+    rows += [_cases(g, True) for g in state.exactly_once]
+    terms = {}
+    for case in itertools.product(*rows):
+        l_avoid, l_once, l_atleast, r_avoid, r_once = (sum(column, ()) for column in zip(*case))
+        right = GfState.make(r_avoid, r_once)
+        if right is None:
+            continue
+        for sign, left_avoid in _at_least_once_expansion(l_avoid, canonical_patterns(l_atleast)):
+            left = GfState.make(left_avoid, l_once)
+            if left is not None:
+                terms[left, right] = terms.get((left, right), 0) + sign
+    return {pair: c for pair, c in terms.items() if c}
+
+
+query_avoid = st.lists(st.sampled_from(AVOIDERS_TO_5), min_size=1, max_size=2, unique=True)
+query_once = st.lists(st.sampled_from(AVOIDERS_TO_5), max_size=2, unique=True)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(avoid=st.lists(st.sampled_from(AVOIDERS_TO_5), min_size=1, max_size=2, unique=True),
-       once=st.lists(st.sampled_from(AVOIDERS_TO_5), max_size=2, unique=True))
+@given(avoid=query_avoid, once=query_once)
 def test_child_pairs_shrink_in_the_recursion_order(avoid, once):
     # the order on states that lets the recursion go without a cycle guard,
     # checked on every state the recursion reaches from the query
     root = GfState.make(avoid, once)
     assume(root is not None and not set(avoid) & set(once))
-    todo, seen = [root], {root}
-    while todo:
-        state = todo.pop()
+    for state in _reached_states(root):
         size = sum(len(g) for g in state.exactly_once)
         down = _down_set(state.avoid)
         for left, right in _child_pairs(state):
@@ -234,9 +276,16 @@ def test_child_pairs_shrink_in_the_recursion_order(avoid, once):
                 child_size = sum(len(g) for g in child.exactly_once)
                 assert child_size <= size, (state, child)
                 assert child_size < size or _down_set(child.avoid) < down, (state, child)
-                if child not in seen:
-                    seen.add(child)
-                    todo.append(child)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(avoid=query_avoid, once=query_once)
+def test_child_pairs_fold_equals_case_product(avoid, once):
+    # the fold against the case product, on every state reached from the query
+    root = GfState.make(avoid, once)
+    assume(root is not None and not set(avoid) & set(once))
+    for state in _reached_states(root):
+        assert _child_pairs(state) == _child_pairs_product(state), state
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +308,11 @@ def test_ulk_avoid_gf_examples():
 
 
 def test_ulk_catalog_matches_recurrence():
-    for l in (1, 2):
-        for k in range(l, 7):
-            assert ulk_avoid_gf(k, l) == avoid_set_gf(ulk_members(k, l)), (k, l)
+    # avoid_set_gf rejects members that contain 132; the ambient 132 excludes them anyway
+    for l in range(1, 6):
+        for k in range(l, 8):
+            members = [t for t in ulk_members(k, l) if not contains(t, P132)]
+            assert ulk_avoid_gf(k, l) == avoid_set_gf(members), (k, l)
 
 
 def test_ulk_exact_once_examples():
