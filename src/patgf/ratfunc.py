@@ -1,48 +1,55 @@
-"""Exact univariate polynomials and rational functions over rationals.
+"""Exact univariate polynomials and rational functions over the rationals.
 
-Coefficients are fractions.Fraction throughout: no floating point, no
-overflow.  Polynomials are stored as ascending coefficient tuples with no
-trailing zero; the zero polynomial is the empty tuple.
+A polynomial is stored as a tuple of Python ints, ascending and with no
+trailing zero (the zero polynomial is the empty tuple), over one positive
+common denominator, in lowest terms: the gcd of the ints and the
+denominator is 1.  Every generating function this package produces has
+integer coefficients, so the denominator is nearly always 1 and the
+arithmetic is integer arithmetic.  `fractions.Fraction` appears only at the
+boundary: a coefficient that is not an integer, JSON input, and the series
+of a rational function whose coefficients are not integers.  A coefficient
+is read as an `int` when the polynomial is integral and as a `Fraction`
+otherwise; the two compare and hash equal.
 
 Rational functions are kept in a canonical form chosen so that structural
 equality coincides with equality of formal power series at the origin:
 gcd(num, den) = 1 and the lowest nonzero denominator coefficient is 1, which
 is den(0) whenever den(0) != 0.  Every generating function produced by this
-package is Taylor-expandable at 0, so its denominator has den(0) = 1.
+package is Taylor-expandable at 0, so its denominator has den(0) = 1.  The
+gcd is the primitive polynomial remainder sequence over Z[x] (Knuth, TAOCP
+vol. 2, 4.6.1; Brown, JACM 18, 1971), divided out exactly.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Union
 
-from .errors import DivisionByZero, ParseError, PoleAtOrigin
+from .errors import DivisionByZero, IndexOutOfRange, ParseError, PoleAtOrigin
 
 Coeff = Union[int, Fraction]
-
-
-def _coerce(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
-
-
-def _strip(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
 
 
 class Poly:
     """Immutable univariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_ints", "_den")
 
     def __init__(self, coeffs: Iterable[Coeff] = ()):
-        object.__setattr__(self, "coeffs", _strip([_coerce(c) for c in coeffs]))
+        pairs = []
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+            pairs.append((int(c.numerator), int(c.denominator)))
+        den = lcm(*(d for _, d in pairs))
+        # over the least common denominator the ints are already in lowest terms
+        ints = [n * (den // d) for n, d in pairs]
+        while ints and ints[-1] == 0:
+            ints.pop()
+        _init(self, tuple(ints), den if ints else 1)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -50,22 +57,29 @@ class Poly:
     # -- structure ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Coeff, ...]:
+        """Ascending coefficients: ints when integral, else Fractions."""
+        if self._den == 1:
+            return self._ints
+        return tuple(Fraction(c, self._den) for c in self._ints)
+
+    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self._ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ints
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._ints)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Poly([other])
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._ints == other._ints and self._den == other._den
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -73,47 +87,46 @@ class Poly:
     def __repr__(self):
         return f"Poly({self.render()})"
 
-    def coefficient(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+    def coefficient(self, i: int) -> Coeff:
+        if not 0 <= i < len(self._ints):
+            return 0
+        c = self._ints[i]
+        return c if self._den == 1 else Fraction(c, self._den)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "Poly":
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coefficient(i) + other.coefficient(i) for i in range(n)])
+        return _lincomb(self, _as_poly(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return _raw([-c for c in self._ints], self._den)
 
     def __sub__(self, other) -> "Poly":
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coefficient(i) - other.coefficient(i) for i in range(n)])
+        return _lincomb(self, _as_poly(other), -1)
 
     def __rsub__(self, other) -> "Poly":
         return _as_poly(other) - self
 
     def __mul__(self, other) -> "Poly":
         other = _as_poly(other)
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        a, b = self._ints, other._ints
+        if not a or not b:
+            return P_ZERO
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _reduced(out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = Poly([1])
+        result = P_ONE
         base = self
         while e:
             if e & 1:
@@ -126,21 +139,33 @@ class Poly:
         """Exact polynomial division with remainder over the rationals."""
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        dd = other.degree
-        rem = list(self.coeffs)
-        if len(rem) - 1 < dd:
-            return Poly(), Poly(rem)
-        dlead = other.coeffs[-1]
-        quo = [Fraction(0)] * (len(rem) - dd)
-        for shift in range(len(rem) - 1 - dd, -1, -1):
-            c = rem[shift + dd]
+        b = other._ints
+        db = len(b) - 1
+        if len(self._ints) - 1 < db:
+            return P_ZERO, self
+        # fraction-free: scale * self._ints = quo * b + rem, all in ints
+        rem = list(self._ints)
+        quo = [0] * (len(rem) - db)
+        scale, lead = 1, b[-1]
+        for shift in range(len(quo) - 1, -1, -1):
+            c = rem[shift + db]
             if c == 0:
                 continue
-            factor = c / dlead
-            quo[shift] = factor
-            for i, oc in enumerate(other.coeffs):
-                rem[shift + i] -= factor * oc
-        return Poly(quo), Poly(rem)
+            g = gcd(c, lead)
+            m, f = lead // g, c // g
+            if m != 1:
+                rem = [v * m for v in rem]
+                quo = [v * m for v in quo]
+                scale *= m
+            quo[shift] = f
+            for i in range(db + 1):
+                rem[shift + i] -= f * b[i]
+        # self = (quo / scale) * (b / b_den) + rem / scale, over self's denominator
+        den = scale * self._den
+        sign = 1 if den > 0 else -1
+        quo = [sign * other._den * v for v in quo]
+        rem = [sign * v for v in rem]
+        return _reduced(quo, abs(den)), _reduced(rem, abs(den))
 
     # -- rendering ----------------------------------------------------------
 
@@ -148,25 +173,63 @@ class Poly:
         """Human-readable text like ``1 - 2*x - x^2``, in ascending powers."""
         if self.is_zero():
             return "0"
-        terms = []
+        parts = []
         for i, c in enumerate(self.coeffs):
             if c == 0:
                 continue
-            terms.append((c, i))
-        parts = []
-        for pos, (c, i) in enumerate(terms):
-            sign = "-" if c < 0 else "+"
             mag = abs(c)
             if i == 0:
                 body = str(mag)
             else:
                 xpow = "x" if i == 1 else f"x^{i}"
                 body = xpow if mag == 1 else f"{mag}*{xpow}"
-            if pos == 0:
+            if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
-                parts.append(f"{sign} {body}")
+                parts.append(f"{'-' if c < 0 else '+'} {body}")
         return " ".join(parts)
+
+
+def _init(p: Poly, ints: tuple, den: int) -> None:
+    object.__setattr__(p, "_ints", ints)
+    object.__setattr__(p, "_den", den)
+
+
+def _raw(ints, den: int = 1) -> Poly:
+    """The Poly ints/den, with ints stripped and already in lowest terms."""
+    p = object.__new__(Poly)
+    _init(p, tuple(ints), den)
+    return p
+
+
+def _reduced(ints: list, den: int) -> Poly:
+    """The Poly ints/den for den > 0: strips the list and brings it to lowest terms."""
+    while ints and ints[-1] == 0:
+        ints.pop()
+    if not ints:
+        return P_ZERO
+    g = _content(ints, den)
+    if g != 1:
+        ints = [c // g for c in ints]
+        den //= g
+    return _raw(ints, den)
+
+
+def _lincomb(p: Poly, q: Poly, sign: int) -> Poly:
+    """p + sign*q."""
+    a, b, den = p._ints, q._ints, p._den
+    ma = mb = 1
+    if den != q._den:
+        g = gcd(den, q._den)
+        ma, mb = q._den // g, den // g
+        den *= ma
+    out = [c * ma for c in a] if ma != 1 else list(a)
+    if len(out) < len(b):
+        out.extend([0] * (len(b) - len(out)))
+    mb *= sign
+    for i, c in enumerate(b):
+        out[i] += mb * c
+    return _reduced(out, den)
 
 
 def _as_poly(value) -> Poly:
@@ -177,19 +240,96 @@ def _as_poly(value) -> Poly:
     raise TypeError(f"cannot treat {type(value).__name__} as a polynomial")
 
 
+# ---------------------------------------------------------------------------
+# Integer polynomials as lists: content, primitive PRS gcd, exact division
+# ---------------------------------------------------------------------------
+
+def _content(ints, g: int = 0) -> int:
+    """The positive gcd of g and nonzero ints, stopping as soon as it is 1."""
+    for c in ints:
+        g = gcd(g, c)
+        if g == 1:
+            break
+    return g
+
+
+def _primitive(ints):
+    """(content, primitive part) of a nonzero integer polynomial; the part is
+    ints itself when the content is 1."""
+    g = _content(ints)
+    return g, (ints if g == 1 else [c // g for c in ints])
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of the remainder of a by b (deg a >= deg b),
+    stripped.  Each step scales by lead(b)/gcd rather than by lead(b), which
+    keeps the multiple small."""
+    r = list(a)
+    db, lead = len(b) - 1, b[-1]
+    while len(r) > db:
+        c = r.pop()
+        g = gcd(c, lead)
+        m, f = lead // g, c // g
+        if m != 1:
+            for i in range(len(r)):
+                r[i] *= m
+        shift = len(r) - db
+        for i in range(db):
+            r[shift + i] -= f * b[i]
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd of two primitive integer polynomials of degree >= 1, primitive
+    and up to sign, by the primitive polynomial remainder sequence."""
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        r = _prem(a, b)
+        if not r:
+            return b
+        if len(r) == 1:
+            return [1]
+        a, b = b, _primitive(r)[1]
+
+
+def _exact_quo(a: list[int], g: list[int]) -> list[int]:
+    """a / g for integer polynomials with g dividing a in Z[x]."""
+    r = list(a)
+    dg, lead = len(g) - 1, g[-1]
+    quo = [0] * (len(a) - dg)
+    for shift in range(len(quo) - 1, -1, -1):
+        c = r[shift + dg]
+        if c:
+            f = c // lead
+            quo[shift] = f
+            for i in range(dg):
+                r[shift + i] -= f * g[i]
+    return quo
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm over the rationals."""
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    if a.is_zero():
-        return a
-    lead = a.coeffs[-1]
-    return Poly([c / lead for c in a.coeffs])
+    """Monic gcd over the rationals, from the primitive gcd over Z[x]."""
+    if a.is_zero() or b.is_zero():
+        # gcd(p, 0) = p, made monic
+        g = list((b if a.is_zero() else a)._ints)
+        if not g:
+            return P_ZERO
+    else:
+        pa, pb = _primitive(a._ints)[1], _primitive(b._ints)[1]
+        if len(pa) == 1 or len(pb) == 1:
+            return P_ONE
+        g = _prs_gcd(pa, pb)
+    lead = g[-1]
+    sign = 1 if lead > 0 else -1
+    return _reduced([sign * c for c in g], abs(lead))
 
 
-P_ZERO = Poly()
-P_ONE = Poly([1])
-P_X = Poly([0, 1])
+P_ZERO = _raw(())
+P_ONE = _raw((1,))
+P_X = _raw((0, 1))
 
 
 class RatFunc:
@@ -206,15 +346,26 @@ class RatFunc:
             object.__setattr__(self, "num", P_ZERO)
             object.__setattr__(self, "den", P_ONE)
             return
+        # num/den = (cn * den._den) / (cd * num._den) * pn/pd, pn and pd primitive
+        cn, pn = _primitive(num._ints)
+        cd, pd = _primitive(den._ints)
         # a nonzero constant has gcd 1 with anything
-        if num.degree > 0 and den.degree > 0:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-        anchor = next(c for c in den.coeffs if c != 0)
-        object.__setattr__(self, "num", Poly([c / anchor for c in num.coeffs]))
-        object.__setattr__(self, "den", Poly([c / anchor for c in den.coeffs]))
+        if len(pn) > 1 and len(pd) > 1:
+            g = _prs_gcd(pn, pd)
+            if len(g) > 1:
+                pn = _exact_quo(pn, g)
+                pd = _exact_quo(pd, g)
+        # scale so that the lowest nonzero denominator coefficient is 1
+        anchor = next(c for c in pd if c)
+        sign = 1 if anchor > 0 else -1
+        p, q = sign * cn * den._den, cd * num._den * abs(anchor)
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        if sign < 0:
+            pd = [-c for c in pd]
+        # pn and pd are primitive and gcd(p, q) = 1, so both are in lowest terms
+        object.__setattr__(self, "num", _raw(pn if p == 1 else [p * c for c in pn], q))
+        object.__setattr__(self, "den", _raw(pd, abs(anchor)))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
@@ -278,18 +429,28 @@ class RatFunc:
     def series(self, order: int) -> "PowerSeries":
         """First order+1 Taylor coefficients at the origin, exactly.
 
-        Solves den * result = num coefficientwise; den(0) != 0 is required
-        (it is 1 in canonical form whenever it is nonzero).
+        Solves den * result = num coefficientwise; den(0) != 0 is required,
+        and then it is 1 in canonical form.  With an integral den, the
+        recurrence runs in ints over num's common denominator.
         """
-        d0 = self.den.coefficient(0)
-        if d0 == 0:
+        if order < 0:
+            raise IndexOutOfRange(f"series needs order >= 0, got {order}")
+        num, den = self.num, self.den
+        if den._ints[0] == 0:
             raise PoleAtOrigin(f"{self.render()} has a pole at the origin")
-        out: list[Fraction] = []
-        for n in range(order + 1):
-            acc = self.num.coefficient(n)
-            for i in range(1, min(n, self.den.degree) + 1):
-                acc -= self.den.coefficient(i) * out[n - i]
-            out.append(acc / d0)
+        if den._den == 1:
+            n, d, scale = num._ints, den._ints, num._den
+        else:
+            n, d, scale = num.coeffs, den.coeffs, 1
+        out: list = []
+        top = len(d) - 1
+        for k in range(order + 1):
+            acc = n[k] if k < len(n) else 0
+            for i in range(1, min(k, top) + 1):
+                acc -= d[i] * out[k - i]
+            out.append(acc)
+        if scale != 1:
+            out = [Fraction(c, scale) for c in out]
         return PowerSeries(tuple(out))
 
     # -- rendering ----------------------------------------------------------
@@ -298,7 +459,7 @@ class RatFunc:
         num_text = self.num.render()
         if self.den == P_ONE:
             return num_text
-        if sum(1 for c in self.num.coeffs if c != 0) > 1:
+        if sum(1 for c in self.num._ints if c) > 1:
             num_text = f"({num_text})"
         return f"{num_text}/({self.den.render()})"
 
@@ -311,19 +472,26 @@ class RatFunc:
     @staticmethod
     def from_json_dict(data: dict) -> "RatFunc":
         """Parse what `to_json_dict` writes: `num` and `den` are lists of
-        exact coefficient strings such as "3" or "-1/2"."""
+        exact coefficient strings such as "3" or "-1/2", and den is nonzero."""
         try:
             parts = data["num"], data["den"]
             if not all(isinstance(part, list) and all(isinstance(c, str) for c in part)
                        for part in parts):
                 raise TypeError("num and den must be lists of strings")
+            if not all(_EXACT.fullmatch(c) for part in parts for c in part):
+                raise ValueError("coefficients must be exact integers or fractions")
             num, den = (Poly([Fraction(c) for c in part]) for part in parts)
-        except (KeyError, ValueError, TypeError) as exc:
+            if den.is_zero():
+                raise ValueError("zero denominator")
+        except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed rational-function JSON: {data!r}") from exc
         return RatFunc(num, den)
 
 
-def _frac_str(c: Fraction) -> str:
+_EXACT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _frac_str(c: Coeff) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
@@ -344,23 +512,20 @@ RF_X = RatFunc(P_X)
 class PowerSeries:
     """Explicitly truncated power series: exactly order+1 stored coefficients."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Coeff, ...]
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> Coeff:
         return self.coeffs[n]
 
     def mul(self, other: "PowerSeries") -> "PowerSeries":
         """Cauchy product truncated to the shorter order."""
         order = min(self.order, other.order)
-        out = []
-        for n in range(order + 1):
-            out.append(sum((self.coeffs[i] * other.coeffs[n - i] for i in range(n + 1)),
-                           Fraction(0)))
-        return PowerSeries(tuple(out))
+        return PowerSeries(tuple(sum(self.coeffs[i] * other.coeffs[n - i] for i in range(n + 1))
+                                 for n in range(order + 1)))
 
     def as_ints(self) -> list[int]:
         """Integer coefficient list; raises if any coefficient is non-integral."""
@@ -368,5 +533,5 @@ class PowerSeries:
         for c in self.coeffs:
             if c.denominator != 1:
                 raise ValueError(f"non-integral series coefficient {c}")
-            out.append(c.numerator)
+            out.append(int(c.numerator))
         return out

@@ -5,9 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from patgf import (
     DivisionByZero,
+    IndexOutOfRange,
     ParseError,
     PatternQuery,
     Poly,
@@ -179,6 +182,12 @@ def test_json_round_trip():
     {"num": "12", "den": ["1"]},  # a string, not a list of strings
     {"num": [0.1], "den": ["1"]},  # a float, not an exact string
     {"num": ["1"], "den": [1]},
+    {"num": ["1/0"], "den": ["1"]},  # a zero denominator inside a coefficient
+    {"num": ["1"], "den": ["0"]},  # a zero denominator polynomial
+    {"num": ["1"], "den": []},
+    {"num": ["1.5"], "den": ["1"]},  # not the exact strings to_json_dict writes
+    {"num": ["1e2"], "den": ["1"]},
+    {"num": [" 2 "], "den": ["1"]},
 ])
 def test_json_requires_lists_of_strings(data):
     with pytest.raises(ParseError):
@@ -190,3 +199,198 @@ def test_rf_scalar_coercion():
     assert f - 1 == RatFunc(X, Poly([1, -1]))
     assert 1 / RatFunc(Poly([1, -1])) == f
     assert 2 * f == RatFunc(Poly([2]), Poly([1, -1]))
+
+
+def test_series_rejects_a_negative_order():
+    with pytest.raises(IndexOutOfRange):
+        RatFunc(Poly([1]), Poly([1, -1])).series(-3)
+    assert RatFunc(Poly([1]), Poly([1, -1])).series(0).coeffs == (1,)
+
+
+def test_coefficients_are_ints_when_integral():
+    assert all(type(c) is int for c in Poly([1, Fraction(4, 2), -3]).coeffs)
+    half = Poly([1, Fraction(1, 2)])
+    assert half.coeffs == (1, Fraction(1, 2))
+    assert half.coefficient(1) == Fraction(1, 2) and half.coefficient(5) == 0
+    assert hash(half) == hash(Poly([Fraction(1), Fraction(1, 2)]))
+
+
+# ---------------------------------------------------------------------------
+# The Fraction reference: the arithmetic ratfunc did in Fraction before it
+# moved to ints, kept as functions on ascending Fraction tuples with no
+# trailing zero.  The property test below holds ratfunc to it.
+# ---------------------------------------------------------------------------
+
+def _ref(coeffs):
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _ref_at(a, i):
+    return a[i] if 0 <= i < len(a) else Fraction(0)
+
+
+def _ref_add(a, b, sign=1):
+    return _ref(_ref_at(a, i) + sign * _ref_at(b, i) for i in range(max(len(a), len(b))))
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref(out)
+
+
+def _ref_divmod(a, b):
+    db = len(b) - 1
+    rem = list(a)
+    if len(rem) - 1 < db:
+        return (), _ref(rem)
+    quo = [Fraction(0)] * (len(rem) - db)
+    for shift in range(len(rem) - 1 - db, -1, -1):
+        factor = rem[shift + db] / b[-1]
+        quo[shift] = factor
+        for i, c in enumerate(b):
+            rem[shift + i] -= factor * c
+    return _ref(quo), _ref(rem)
+
+
+def _ref_gcd(a, b):
+    """Monic gcd by the Euclidean algorithm over the rationals."""
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return tuple(c / a[-1] for c in a) if a else a
+
+
+def _ref_canonical(num, den):
+    """gcd(num, den) = 1 and the lowest nonzero den coefficient 1."""
+    if not num:
+        return (), (Fraction(1),)
+    if len(num) > 1 and len(den) > 1:
+        g = _ref_gcd(num, den)
+        if len(g) > 1:
+            num, den = _ref_divmod(num, g)[0], _ref_divmod(den, g)[0]
+    anchor = next(c for c in den if c != 0)
+    return tuple(c / anchor for c in num), tuple(c / anchor for c in den)
+
+
+def _ref_series(num, den, order):
+    out = []
+    for n in range(order + 1):
+        acc = _ref_at(num, n)
+        for i in range(1, min(n, len(den) - 1) + 1):
+            acc -= den[i] * out[n - i]
+        out.append(acc / den[0])
+    return tuple(out)
+
+
+def _ref_render(a):
+    if not a:
+        return "0"
+    parts = []
+    for i, c in enumerate(a):
+        if c == 0:
+            continue
+        mag = abs(c)
+        xpow = "x" if i == 1 else f"x^{i}"
+        body = str(mag) if i == 0 else (xpow if mag == 1 else f"{mag}*{xpow}")
+        parts.append((body if c > 0 else f"-{body}") if not parts
+                     else f"{'-' if c < 0 else '+'} {body}")
+    return " ".join(parts)
+
+
+def _ref_render_rf(num, den):
+    text = _ref_render(num)
+    if den == (1,):
+        return text
+    if sum(1 for c in num if c != 0) > 1:
+        text = f"({text})"
+    return f"{text}/({_ref_render(den)})"
+
+
+def _ref_json(num, den):
+    def s(c):
+        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    return {"num": [s(c) for c in num], "den": [s(c) for c in den]}
+
+
+def _exact(values):
+    return all(type(c) in (int, Fraction) for c in values)
+
+
+def _agrees(p, ref):
+    """Same value, exact coefficient types, and equal and hashed alike as a Poly."""
+    return p.coeffs == ref and _exact(p.coeffs) and p == Poly(ref) and hash(p) == hash(ref)
+
+
+_coeff = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+_poly = st.lists(_coeff, max_size=6)
+# an integer factor: its lower coefficients and a nonzero leading one
+_factor = st.tuples(st.lists(st.integers(-4, 4), min_size=1, max_size=6),
+                    st.integers(1, 3) | st.integers(-3, -1))
+
+
+def _ref_product(factors):
+    out = (Fraction(1),)
+    for body, lead in factors:
+        out = _ref_mul(out, _ref(body + [lead]))
+    return out
+
+
+# a shared factor of degree 30, where pseudo-remainders swell
+_WIDE = ([([1, -1, 2, 0, 3], 1)] * 3 + [([2, 1, -1, 1, 0], -2)] * 3
+         + [([0, 1], 1)] * 2)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(a=_poly, b=_poly, common=st.lists(_factor, max_size=8), half=st.booleans())
+@example(a=[1, -2], b=[3, 0, 1], common=_WIDE, half=False)
+@example(a=[Fraction(1, 2), 1], b=[3, Fraction(-2, 3)], common=_WIDE, half=True)
+def test_ratfunc_matches_the_fraction_reference(a, b, common, half):
+    ra, rb = _ref(a), _ref(b)
+    pa, pb = Poly(a), Poly(b)
+    for p, r in ((pa, ra), (pb, rb)):
+        assert _agrees(p, r)
+        assert p.render() == _ref_render(r)
+    assert _agrees(pa + pb, _ref_add(ra, rb))
+    assert _agrees(pa - pb, _ref_add(ra, rb, -1))
+    assert _agrees(-pa, _ref_add((), ra, -1))
+    assert _agrees(pa * pb, _ref_mul(ra, rb))
+    if rb:
+        q, r = pa.divmod(pb)
+        want_q, want_r = _ref_divmod(ra, rb)
+        assert _agrees(q, want_q) and _agrees(r, want_r)
+    # a shared factor of high degree, so that the gcd is not trivial
+    shared = _ref_product(common)
+    if half:
+        shared = tuple(c / 2 for c in shared)
+    num, den = _ref_mul(shared, ra), _ref_mul(shared, rb)
+    assert _agrees(poly_gcd(Poly(num), Poly(den)), _ref_gcd(num, den))
+    if not den:
+        return
+    f = RatFunc(Poly(num), Poly(den))
+    want = _ref_canonical(num, den)
+    assert _agrees(f.num, want[0]) and _agrees(f.den, want[1])
+    assert f.render() == _ref_render_rf(*want)
+    assert f.to_json_dict() == _ref_json(*want)
+    if want[1][0] != 0:
+        s = f.series(12)
+        assert s.coeffs == _ref_series(*want, 12) and _exact(s.coeffs)
+    # g = b / (1 + x*a): nonzero den, so the field operations are defined
+    g_num, g_den = rb, _ref_add((Fraction(1),), _ref_mul((0, Fraction(1)), ra))
+    g = RatFunc(pb, Poly(g_den))
+    gn, gd = _ref_canonical(g_num, g_den)
+    fn, fd = want
+    cases = [(f + g, _ref_add(_ref_mul(fn, gd), _ref_mul(gn, fd)), _ref_mul(fd, gd)),
+             (f - g, _ref_add(_ref_mul(fn, gd), _ref_mul(gn, fd), -1), _ref_mul(fd, gd)),
+             (f * g, _ref_mul(fn, gn), _ref_mul(fd, gd))]
+    if gn:
+        cases.append((f / g, _ref_mul(fn, gd), _ref_mul(fd, gn)))
+    for got, wn, wd in cases:
+        want_n, want_d = _ref_canonical(wn, wd)
+        assert _agrees(got.num, want_n) and _agrees(got.den, want_d)
