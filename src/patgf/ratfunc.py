@@ -139,33 +139,12 @@ class Poly:
         """Exact polynomial division with remainder over the rationals."""
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        b = other._ints
-        db = len(b) - 1
-        if len(self._ints) - 1 < db:
+        if len(self._ints) < len(other._ints):
             return P_ZERO, self
-        # fraction-free: scale * self._ints = quo * b + rem, all in ints
-        rem = list(self._ints)
-        quo = [0] * (len(rem) - db)
-        scale, lead = 1, b[-1]
-        for shift in range(len(quo) - 1, -1, -1):
-            c = rem[shift + db]
-            if c == 0:
-                continue
-            g = gcd(c, lead)
-            m, f = lead // g, c // g
-            if m != 1:
-                rem = [v * m for v in rem]
-                quo = [v * m for v in quo]
-                scale *= m
-            quo[shift] = f
-            for i in range(db + 1):
-                rem[shift + i] -= f * b[i]
+        scale, quo, rem = _pdiv(self._ints, other._ints)
         # self = (quo / scale) * (b / b_den) + rem / scale, over self's denominator
         den = scale * self._den
-        sign = 1 if den > 0 else -1
-        quo = [sign * other._den * v for v in quo]
-        rem = [sign * v for v in rem]
-        return _reduced(quo, abs(den)), _reduced(rem, abs(den))
+        return _reduced([other._den * v for v in quo], den), _reduced(rem, den)
 
     # -- rendering ----------------------------------------------------------
 
@@ -241,7 +220,7 @@ def _as_poly(value) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Integer polynomials as lists: content, primitive PRS gcd, exact division
+# Integer polynomials as lists: content, pseudo-division, primitive PRS gcd
 # ---------------------------------------------------------------------------
 
 def _content(ints, g: int = 0) -> int:
@@ -260,25 +239,33 @@ def _primitive(ints):
     return g, (ints if g == 1 else [c // g for c in ints])
 
 
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    """A nonzero integer multiple of the remainder of a by b (deg a >= deg b),
-    stripped.  Each step scales by lead(b)/gcd rather than by lead(b), which
-    keeps the multiple small."""
-    r = list(a)
+def _pdiv(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
+    """Pseudo-division in Z[x] for deg a >= deg b: (scale, quo, rem) with
+    scale*a = quo*b + rem, scale > 0, deg rem < deg b and rem stripped.  Each
+    step scales by |lead(b)|/gcd rather than by lead(b), which keeps scale
+    small; when b divides a in Z[x], scale is 1 and quo is exact."""
+    rem = list(a)
     db, lead = len(b) - 1, b[-1]
-    while len(r) > db:
-        c = r.pop()
-        g = gcd(c, lead)
+    quo = [0] * (len(rem) - db)
+    scale = 1
+    for shift in range(len(quo) - 1, -1, -1):
+        c = rem.pop()
+        if c == 0:
+            continue
+        g = gcd(c, lead) if lead > 0 else -gcd(c, lead)
         m, f = lead // g, c // g
         if m != 1:
-            for i in range(len(r)):
-                r[i] *= m
-        shift = len(r) - db
+            for i in range(len(rem)):
+                rem[i] *= m
+            for i in range(shift + 1, len(quo)):
+                quo[i] *= m
+            scale *= m
+        quo[shift] = f
         for i in range(db):
-            r[shift + i] -= f * b[i]
-        while r and r[-1] == 0:
-            r.pop()
-    return r
+            rem[shift + i] -= f * b[i]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return scale, quo, rem
 
 
 def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
@@ -287,27 +274,12 @@ def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
     while True:
-        r = _prem(a, b)
+        r = _pdiv(a, b)[2]
         if not r:
             return b
         if len(r) == 1:
             return [1]
         a, b = b, _primitive(r)[1]
-
-
-def _exact_quo(a: list[int], g: list[int]) -> list[int]:
-    """a / g for integer polynomials with g dividing a in Z[x]."""
-    r = list(a)
-    dg, lead = len(g) - 1, g[-1]
-    quo = [0] * (len(a) - dg)
-    for shift in range(len(quo) - 1, -1, -1):
-        c = r[shift + dg]
-        if c:
-            f = c // lead
-            quo[shift] = f
-            for i in range(dg):
-                r[shift + i] -= f * g[i]
-    return quo
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -353,8 +325,8 @@ class RatFunc:
         if len(pn) > 1 and len(pd) > 1:
             g = _prs_gcd(pn, pd)
             if len(g) > 1:
-                pn = _exact_quo(pn, g)
-                pd = _exact_quo(pd, g)
+                pn = _pdiv(pn, g)[1]
+                pd = _pdiv(pd, g)[1]
         # scale so that the lowest nonzero denominator coefficient is 1
         anchor = next(c for c in pd if c)
         sign = 1 if anchor > 0 else -1
@@ -430,18 +402,15 @@ class RatFunc:
         """First order+1 Taylor coefficients at the origin, exactly.
 
         Solves den * result = num coefficientwise; den(0) != 0 is required,
-        and then it is 1 in canonical form.  With an integral den, the
-        recurrence runs in ints over num's common denominator.
+        and then it is 1 in canonical form.  The recurrence runs in ints
+        when num and den are integral, and in Fractions otherwise.
         """
         if order < 0:
             raise IndexOutOfRange(f"series needs order >= 0, got {order}")
         num, den = self.num, self.den
         if den._ints[0] == 0:
             raise PoleAtOrigin(f"{self.render()} has a pole at the origin")
-        if den._den == 1:
-            n, d, scale = num._ints, den._ints, num._den
-        else:
-            n, d, scale = num.coeffs, den.coeffs, 1
+        n, d = num.coeffs, den.coeffs
         out: list = []
         top = len(d) - 1
         for k in range(order + 1):
@@ -449,8 +418,6 @@ class RatFunc:
             for i in range(1, min(k, top) + 1):
                 acc -= d[i] * out[k - i]
             out.append(acc)
-        if scale != 1:
-            out = [Fraction(c, scale) for c in out]
         return PowerSeries(tuple(out))
 
     # -- rendering ----------------------------------------------------------
