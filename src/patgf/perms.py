@@ -12,9 +12,11 @@ m+1 children, one for each new last value j, with the entries >= j raised by
 one.  The tree holds the permutations that avoid every avoided pattern and
 hold each exactly-once pattern at most once, a class closed under deleting
 entries, so a node outside it is pruned with its whole subtree.  A child's
-occurrence counts are its parent's plus the occurrences ending at its new
-entry, found by `_count_ending`, the one occurrence search: `count_occurrences`
-and `contains` add it up over the positions where an occurrence can end.
+occurrence counts are its parent's plus the occurrences that use its new last
+entry, and one search per node and pattern finds these for every child at
+once (`_mark_gaps`).  `_embeddings` is the one occurrence search, iterative
+with an explicit stack: the census runs it over each pattern less its last
+entry, and `count_occurrences` and `contains` over the whole pattern.
 Each node is tallied at its own length, so one walk counts every length up
 to n.  `census_reference`, a plain lexicographic walk of S_n checked leaf by
 leaf, is the oracle the tests hold the census to.
@@ -28,7 +30,6 @@ semicolon-separated.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
@@ -128,9 +129,8 @@ class PatternQuery:
 def count_occurrences(p: Sequence[int], t: Pattern, cap: int | None = None) -> int:
     """Number of subsequences of p order-isomorphic to t.
 
-    Each occurrence is counted at the position of its last entry, by
-    `_count_ending` on the entries before it.  With `cap`, counting stops as
-    soon as `cap` occurrences are found.
+    Each occurrence is one embedding of all of t found by `_embeddings`.
+    With `cap`, counting stops as soon as `cap` occurrences are found.
 
     >>> count_occurrences((2, 1, 3), (1, 2))
     2
@@ -140,15 +140,12 @@ def count_occurrences(p: Sequence[int], t: Pattern, cap: int | None = None) -> i
     1
     """
     k = len(t)
-    if k > len(p):
-        return 0
     if k == 0:
         return 1
-    plan = _ending_plan(t)
     cap = inf if cap is None else cap
     count = 0
-    for i in range(k - 1, len(p)):
-        count += _count_ending(p[:i], p[i], plan, cap - count)
+    for _ in _embeddings(p, _placement_plan(t), k, inf):
+        count += 1
         if count >= cap:
             break
     return count
@@ -160,69 +157,74 @@ def contains(p: Sequence[int], t: Pattern) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _ending_plan(t: Pattern) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """How `_count_ending` places t: its length, and for each entry but the
-    last, the index of the entry already placed (an earlier one, or the last)
-    whose value bounds it from below and from above, -1 where none does."""
+def _placement_plan(t: Pattern) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """How `_embeddings` places t, left to right: for each entry, the index
+    of the earlier entry whose value bounds it from below and from above.
+    Where no earlier entry does, the index is len(t), the floor (value 0),
+    or len(t) + 1, the ceiling (above every entry of the word searched)."""
     k = len(t)
     below, above = [], []
-    for i in range(k - 1):
-        placed = list(range(i)) + [k - 1]
-        lower = [h for h in placed if t[h] < t[i]]
-        upper = [h for h in placed if t[h] > t[i]]
-        below.append(max(lower, key=lambda h: t[h]) if lower else -1)
-        above.append(min(upper, key=lambda h: t[h]) if upper else -1)
-    return k, tuple(below), tuple(above)
+    for i in range(k):
+        lower = [h for h in range(i) if t[h] < t[i]]
+        upper = [h for h in range(i) if t[h] > t[i]]
+        below.append(max(lower, key=t.__getitem__) if lower else k)
+        above.append(min(upper, key=t.__getitem__) if upper else k + 1)
+    return tuple(below), tuple(above)
 
 
-def _count_ending(p: Sequence[int], v: float, plan, cap: int) -> int:
-    """Occurrences of a pattern in p followed by a new last entry of value v
-    that use that entry, counted up to cap; `plan` is `_ending_plan(t)`.
+def _embeddings(p: Sequence[int], plan, depth: int, ceiling):
+    """Yield once for each embedding in p of the first `depth` entries of the
+    pattern that `plan` (`_placement_plan`) places: the list `chosen`, whose
+    first `depth` items are the values taken, then the floor 0 and
+    `ceiling`, above every entry of p, at indices len(t) and len(t) + 1.
+    The list is reused between yields.
 
-    The entries of p are distinct and positive, and v differs from all of
-    them.  The census passes v = j - 1/2 for the child whose new last value
-    is j, so no child is built to search it: the entries of p below j stay
-    below the new entry, and the entries the child raises stay above it.
+    The search is iterative, with the stack in lists: entry i scans p from
+    position q up to `stop`, which leaves room for the entries after it, for
+    a value strictly between its bounds lo and hi; `nxt`, `los` and `his`
+    keep where each entry resumes, so backtracking is a step down the stack.
+    The entries of p are positive.
     """
-    k, below, above = plan
-    m = len(p)
-    if k == 1:
-        return 1
-    if k - 1 > m:
-        return 0
-    chosen = [0] * k
-    chosen[k - 1] = v
-    last = k - 2
-    count = 0
-
-    def rec(i: int, start: int) -> bool:
-        nonlocal count
-        b, a = below[i], above[i]
-        lo = chosen[b] if b >= 0 else 0
-        hi = chosen[a] if a >= 0 else inf
-        if i == last:
-            for pos in range(start, m):
-                if lo < p[pos] < hi:
-                    count += 1
-                    if count >= cap:
-                        return True
-            return False
-        for pos in range(start, m - last + i):
-            w = p[pos]
+    below, above = plan
+    k = len(below)
+    chosen = [0] * (k + 2)
+    chosen[k + 1] = ceiling
+    if depth == 0:
+        yield chosen
+        return
+    last = depth - 1
+    nxt, los, his = [0] * depth, [0] * depth, [0] * depth
+    i = q = 0
+    lo = los[0] = chosen[below[0]]
+    hi = his[0] = chosen[above[0]]
+    stop = len(p) - last
+    while True:
+        while q < stop:
+            w = p[q]
+            q += 1
             if lo < w < hi:
                 chosen[i] = w
-                if rec(i + 1, pos + 1):
-                    return True
-        return False
-
-    rec(0, 0)
-    return count
+                if i == last:
+                    yield chosen
+                else:
+                    nxt[i] = q
+                    i += 1
+                    lo = los[i] = chosen[below[i]]
+                    hi = his[i] = chosen[above[i]]
+                    stop += 1
+        if i == 0:
+            return
+        i -= 1
+        q, lo, hi = nxt[i], los[i], his[i]
+        stop -= 1
 
 
 # A node of the generating tree is (p, once, seen): a permutation p, the
 # number of occurrences in p of each exactly-once pattern (0 or 1), and
-# whether each at-least-once pattern occurs in p.  `rules` holds the plans of
-# the avoid, exactly-once and at-least-once patterns.
+# whether (1) or not (0) each at-least-once pattern occurs in p.  `rules`
+# holds the plans of the avoid, exactly-once and at-least-once patterns.
+# Gap g of a node of length m, for g = 0..m, is the child whose new last
+# value is g + 1.
 
 def _counted(node) -> bool:
     """Does the node's permutation meet the query, not only stay in the class?"""
@@ -230,26 +232,55 @@ def _counted(node) -> bool:
     return all(once) and all(seen)
 
 
+def _mark_gaps(p: Sequence[int], plan, marks: list[int], cap: int) -> list[int]:
+    """Add to each marks[g], up to cap (no mark is above it), the
+    occurrences of the planned pattern t in the child at gap g that use its
+    new last entry; return marks.
+
+    One search walks the embeddings of t less its last entry in p.  The
+    last entry bounds lo and hi of an embedding (0 and len(p) + 1 where it
+    has none) admit every new value j with lo < j - 1/2 < hi: entries of p
+    below j stay below it, and those the child raises end above it.  So the
+    embedding completes in the children at gaps lo..hi-1.  The search stops
+    once every gap has reached cap.
+    """
+    below, above = plan
+    k = len(below)
+    floor_at, ceiling_at = below[k - 1], above[k - 1]
+    left = len(marks) - marks.count(cap)
+    if left:
+        for chosen in _embeddings(p, plan, k - 1, len(p) + 1):
+            for g in range(chosen[floor_at], chosen[ceiling_at]):
+                c = marks[g]
+                if c < cap:
+                    marks[g] = c + 1
+                    left -= c + 1 == cap
+            if not left:
+                break
+    return marks
+
+
 def _children(node, rules):
     """The children of a node: p followed by each new last value j that keeps
     the class, the entries of p that are >= j raised by one."""
     p, once, seen = node
     avoid, exactly, atleast = rules
-    for j in range(1, len(p) + 2):
-        v = j - 0.5
-        for plan in avoid:
-            if _count_ending(p, v, plan, 1):
-                break
-        else:
-            counts = tuple(c + _count_ending(p, v, plan, 2 - c)
-                           for plan, c in zip(exactly, once))
-            if 2 in counts:
-                continue
-            found = tuple(s or _count_ending(p, v, plan, 1) == 1
-                          for plan, s in zip(atleast, seen))
-            child = [w + (w >= j) for w in p]
-            child.append(j)
-            yield child, counts, found
+    gaps = len(p) + 1
+    blocked = [0] * gaps
+    for plan in avoid:
+        _mark_gaps(p, plan, blocked, 1)
+    counts = [_mark_gaps(p, plan, [c] * gaps, 2) for plan, c in zip(exactly, once)]
+    found = [_mark_gaps(p, plan, [s] * gaps, 1) for plan, s in zip(atleast, seen)]
+    for g in range(gaps):
+        if blocked[g]:
+            continue
+        child_once = tuple(c[g] for c in counts)
+        if 2 in child_once:
+            continue
+        j = g + 1
+        child = [w + (w >= j) for w in p]
+        child.append(j)
+        yield child, child_once, tuple(f[g] for f in found)
 
 
 def _walk(node, rules, order: int, tally: list[int]) -> None:
@@ -280,10 +311,10 @@ def _tree_series(query: PatternQuery, order: int, workers: int) -> list[int]:
     # The empty pattern occurs exactly once in everything: vacuous constraint.
     exactly = tuple(t for t in query.exactly_once if t)
     atleast = tuple(t for t in query.at_least_once if t)
-    rules = tuple(tuple(_ending_plan(t) for t in patterns)
+    rules = tuple(tuple(_placement_plan(t) for t in patterns)
                   for patterns in (query.avoid, exactly, atleast))
     tally = [0] * (order + 1)
-    frontier = [((), (0,) * len(exactly), (False,) * len(atleast))]
+    frontier = [((), (0,) * len(exactly), (0,) * len(atleast))]
     depth = 0
     while (workers > 1 and depth < order
            and 0 < len(frontier) < _SUBTREES_PER_WORKER * workers):
@@ -291,6 +322,9 @@ def _tree_series(query: PatternQuery, order: int, workers: int) -> list[int]:
         frontier = [child for node in frontier for child in _children(node, rules)]
         depth += 1
     if workers > 1 and depth < order and frontier:
+        # imported here: the import costs a serial run about 2.5 MB of memory
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(_walk_task, [(node, rules, order) for node in frontier])
             for part in parts:
@@ -338,11 +372,14 @@ def census_reference(query: PatternQuery, n: int) -> int:
     the tests hold `census` and `census_series` to.
 
     The walk is depth-first in lexicographic order, one length at a time.  A
-    value extending the current prefix is rejected as soon as it completes an
-    occurrence of an avoided pattern, which skips every permutation with that
+    value v extending the current prefix is rejected when the prefix plus v
+    contains an avoided pattern (`contains`; the prefix avoids them all, so
+    such an occurrence uses v), which skips every permutation with that
     prefix; since any occurrence survives in all completions, no counted
     permutation is lost.  Each permutation reached is then checked against
-    the exactly-once and at-least-once sets with `count_occurrences`.
+    the exactly-once and at-least-once sets with `count_occurrences`.  It
+    shares only `count_occurrences` with the census, and the tests hold that
+    to a brute force over index subsets.
     """
     if n < 0:
         raise PreconditionViolated("census length must be non-negative")
@@ -350,7 +387,6 @@ def census_reference(query: PatternQuery, n: int) -> int:
         return 0
     exactly = tuple(t for t in query.exactly_once if t)
     atleast = tuple(t for t in query.at_least_once if t)
-    avoid = tuple(_ending_plan(t) for t in query.avoid)
     prefix: list[int] = []
     used = [False] * (n + 1)
     count = 0
@@ -373,7 +409,8 @@ def census_reference(query: PatternQuery, n: int) -> int:
         for v in range(1, n + 1):
             if used[v]:
                 continue
-            if not any(_count_ending(prefix, v, plan, 1) for plan in avoid):
+            word = prefix + [v]
+            if not any(contains(word, t) for t in query.avoid):
                 used[v] = True
                 prefix.append(v)
                 extend()

@@ -383,6 +383,10 @@ class RatFunc:
 
     def __mul__(self, other) -> "RatFunc":
         other = as_ratfunc(other)
+        for f, c in ((self, other), (other, self)):
+            if len(c.num._ints) <= 1 and len(c.den._ints) == 1:
+                # a constant c: c*num stays coprime to den, and den stays anchored
+                return _canonical(f.num * c.num, f.den) if c else RF_ZERO
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -456,6 +460,14 @@ class RatFunc:
 
 
 _EXACT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _canonical(num: Poly, den: Poly) -> RatFunc:
+    """The RatFunc num/den, already in canonical form."""
+    f = object.__new__(RatFunc)
+    object.__setattr__(f, "num", num)
+    object.__setattr__(f, "den", den)
+    return f
 
 
 def _frac_str(c: Coeff) -> str:

@@ -1,5 +1,7 @@
 """Permutation core: occurrences, avoidance, and the census oracle."""
 
+import concurrent.futures
+import gc
 import itertools
 from math import comb, factorial
 
@@ -132,19 +134,25 @@ def test_census_parallel_matches_serial():
     assert census(q, 6, workers=2) == census(q, 6, workers=1)
 
 
-def test_count_ending_matches_count_occurrences():
+def test_gap_marks_match_occurrence_differences():
     # the occurrences of t in a child that use its new last entry are those in
-    # the child less those in the rest, which is order-isomorphic to the parent
+    # the child less those in the rest, which is order-isomorphic to the parent;
+    # one search marks them for every gap, on top of a start mark (the count
+    # the census carries from the parent), capped at cap
     patterns = [t for k in range(1, 5) for t in itertools.permutations(range(1, k + 1))]
+    uncapped = 99
     for m in range(5):
         for p in itertools.permutations(range(1, m + 1)):
-            for j in range(1, m + 2):
-                child = tuple(w + (w >= j) for w in p) + (j,)
-                for t in patterns:
-                    want = brute_occurrences(child, t) - brute_occurrences(p, t)
-                    plan = perms._ending_plan(t)
-                    assert perms._count_ending(p, j - 0.5, plan, 99) == want
-                    assert perms._count_ending(p, j - 0.5, plan, 1) == min(want, 1)
+            children = [tuple(w + (w >= j) for w in p) + (j,) for j in range(1, m + 2)]
+            for t in patterns:
+                plan = perms._placement_plan(t)
+                want = [brute_occurrences(child, t) - brute_occurrences(p, t)
+                        for child in children]
+                for cap in (uncapped, 1, 2):
+                    for start in range(min(cap, 2)):
+                        marks = perms._mark_gaps(p, plan, [start] * (m + 1), cap)
+                        assert marks == [min(start + w, cap) for w in want], \
+                            (p, t, cap, start)
 
 
 def test_census_matches_reference_on_verify_queries(monkeypatch):
@@ -178,15 +186,51 @@ def test_census_matches_reference_on_random_queries(roles):
     assert census_series(query, 6) == [census_reference(query, n) for n in range(7)]
 
 
+_LENGTH_5 = list(itertools.permutations(range(1, 6)))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(_SMALL_PATTERNS + _LENGTH_5), st.integers(0, 2)),
+                max_size=3, unique_by=lambda pair: pair[0]),
+       st.sampled_from(_LENGTH_5))
+def test_census_matches_reference_with_length_5_patterns(roles, t5):
+    # a pattern of length 5 in each of the three roles: the search reaches depth 4
+    for role5 in range(3):
+        sets = ([], [], [])
+        for t, role in roles:
+            if t != t5:
+                sets[role].append(t)
+        sets[role5].append(t5)
+        query = PatternQuery(*map(tuple, sets))
+        want = [census_reference(query, n) for n in range(7)]
+        assert census_series(query, 6) == want, query
+
+
+def test_census_and_occurrence_search_leave_no_garbage():
+    # the search keeps its stack in lists: no closure, so no reference cycle
+    query = PatternQuery(avoid=(P132, (3, 2, 1)), exactly_once=((1, 2, 3),),
+                         at_least_once=((2, 1),))
+    gc.collect()
+    gc.disable()
+    try:
+        census_series(query, 7)
+        for p in itertools.permutations(range(1, 7)):
+            count_occurrences(p, (2, 1, 3))
+            count_occurrences(p, (1, 2), cap=2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_census_series_parallel_uses_one_pool(monkeypatch):
     pools = []
 
-    class CountingPool(perms.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(perms, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     q = PatternQuery(avoid=(P132,), exactly_once=((1, 2, 3),), at_least_once=((2, 1),))
     assert census_series(q, 7, workers=2) == census_series(q, 7, workers=1)
     assert len(pools) == 1

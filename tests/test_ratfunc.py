@@ -389,6 +389,10 @@ def test_ratfunc_matches_the_fraction_reference(a, b, common, half):
     cases = [(f + g, _ref_add(_ref_mul(fn, gd), _ref_mul(gn, fd)), _ref_mul(fd, gd)),
              (f - g, _ref_add(_ref_mul(fn, gd), _ref_mul(gn, fd), -1), _ref_mul(fd, gd)),
              (f * g, _ref_mul(fn, gn), _ref_mul(fd, gd))]
+    # constant factors, zero included, on either side
+    for c in (0, b[0] if b else 1):
+        cases += [(f * c, _ref_mul(fn, (Fraction(c),)), fd),
+                  (c * g, _ref_mul(gn, (Fraction(c),)), gd)]
     if gn:
         cases.append((f / g, _ref_mul(fn, gd), _ref_mul(fd, gn)))
     for got, wn, wd in cases:
