@@ -49,7 +49,6 @@ from .perms import (
     census_series,
     contains,
     count_occurrences,
-    feasibility_bound,
     flatten,
     is_permutation,
     parse_pattern,

@@ -2,17 +2,20 @@
 
 Verbs: count, series, gf, verify, table.  Pattern syntax: compact digits
 ("132") or comma-separated values ("10,1,2,..."); "eps" is the empty pattern;
-sets are semicolon-separated.  PATGF_MAX_N overrides the census bound.
+sets are semicolon-separated.  The census bound is `perms.DEFAULT_MAX_N`
+unless `--max-n` overrides it; `verify --max-n` is its census length and bound.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 feasibility refusal, 4 engine error, 5 internal error (an unexpected
-exception, reported on stderr; never 1, which means only that a check failed).
+3 feasibility refusal, 4 engine error, 5 internal error or closed output
+(reported on stderr; never 1, which means only that a check failed).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import traceback
 
@@ -88,7 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run self-verification suites")
     p_verify.add_argument("--suite", required=True, choices=list(SUITE_NAMES) + ["all"])
     p_verify.add_argument("--order", type=_int_at_least(1), default=16)
-    p_verify.add_argument("--max-n", type=_COUNT, default=9, dest="max_n")
+    p_verify.add_argument("--max-n", type=_COUNT, default=9, dest="max_n",
+                          help="census length of the oracle and recurrence suites, "
+                               "and the census bound for them")
     p_verify.add_argument("--workers", type=_WORKERS, default=1)
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--out", help="also write the JSON report to a file")
@@ -233,14 +238,31 @@ _DISPATCH = {
 }
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:  # built on first use, once per process
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return _DISPATCH[args.verb](args)
+        code = _DISPATCH[args.verb](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout's descriptor, if any, at devnull: the flush at exit
+        # then does not fail again (the advice of the `signal` docs)
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        print("error: output closed", file=sys.stderr)
+        return EXIT_INTERNAL
     except LengthTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE

@@ -29,7 +29,6 @@ semicolon-separated.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
@@ -42,20 +41,6 @@ Pattern = tuple[int, ...]
 PATTERN_132: Pattern = (1, 3, 2)
 
 DEFAULT_MAX_N = 10
-_ENV_MAX_N = "PATGF_MAX_N"
-
-
-def feasibility_bound(override: int | None = None) -> int:
-    """The largest n census will enumerate; PATGF_MAX_N overrides the default."""
-    if override is not None:
-        return override
-    env = os.environ.get(_ENV_MAX_N)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParseError(f"{_ENV_MAX_N} must be an integer, got {env!r}") from exc
-    return DEFAULT_MAX_N
 
 
 def is_permutation(word: Sequence[int]) -> bool:
@@ -341,7 +326,7 @@ def census(query: PatternQuery, n: int, *, bound: int | None = None,
 
     The count is the last entry of `census_series(query, n)`: one walk of the
     generating tree counts every length up to n.  Raises LengthTooLarge past
-    the feasibility bound (default 10, or PATGF_MAX_N) so that an infeasible
+    the feasibility bound (`bound`, else DEFAULT_MAX_N) so that an infeasible
     run is a deliberate decision, and PreconditionViolated for a negative n
     or workers < 1.
     """
@@ -357,7 +342,7 @@ def census_series(query: PatternQuery, order: int, *, bound: int | None = None,
     its frontier holds a few subtrees per worker; one process pool then walks
     those subtrees, and the tallies are added, so the result is identical.
     """
-    limit = feasibility_bound(bound)
+    limit = DEFAULT_MAX_N if bound is None else bound
     if order > limit:
         raise LengthTooLarge(order, limit)
     if order < 0:

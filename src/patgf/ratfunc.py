@@ -135,17 +135,6 @@ class Poly:
             e >>= 1
         return result
 
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact polynomial division with remainder over the rationals."""
-        if other.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        if len(self._ints) < len(other._ints):
-            return P_ZERO, self
-        scale, quo, rem = _pdiv(self._ints, other._ints)
-        # self = (quo / scale) * (b / b_den) + rem / scale, over self's denominator
-        den = scale * self._den
-        return _reduced([other._den * v for v in quo], den), _reduced(rem, den)
-
     # -- rendering ----------------------------------------------------------
 
     def render(self) -> str:

@@ -128,7 +128,7 @@ def suite_algebra() -> list[Check]:
     ]
 
 
-def suite_chebyshev(order: int = 16) -> list[Check]:
+def suite_chebyshev(order: int) -> list[Check]:
     checks = []
     es = e_battery()
 
@@ -206,22 +206,29 @@ def suite_catalog() -> list[Check]:
     return checks
 
 
-def _oracle_series(avoid, once, max_n, workers, memo: dict) -> list[int]:
-    """The census series to length max_n of the query with 132 adjoined.
-    `memo` keeps the longest series counted for each query, which also
-    serves every shorter length."""
-    query = PatternQuery(avoid=tuple(avoid) + (PATTERN_132,), exactly_once=tuple(once))
-    series = memo.get(query)
-    if series is None or len(series) <= max_n:
-        series = memo[query] = census_series(query, max_n, workers=workers)
-    return series[:max_n + 1]
+class CensusReader:
+    """The census series of one verify run: each query with 132 adjoined,
+    counted to lengths at most `max_n`, which is also the census bound, so
+    a `--max-n` past the default is the deliberate decision the bound asks
+    for.  The longest series counted for each query serves every shorter
+    length, so no query is counted twice in a run."""
+
+    def __init__(self, max_n: int, workers: int):
+        self.max_n = max_n
+        self._workers = workers
+        self._memo: dict = {}
+
+    def series(self, avoid, once, n: int) -> list[int]:
+        query = PatternQuery(avoid=tuple(avoid) + (PATTERN_132,), exactly_once=tuple(once))
+        series = self._memo.get(query)
+        if series is None or len(series) <= n:
+            series = self._memo[query] = census_series(query, n, bound=self.max_n,
+                                                       workers=self._workers)
+        return series[:n + 1]
 
 
-def _series_check(name: str, f: RatFunc, avoid, once, max_n: int, workers: int,
-                  memo: dict) -> Check:
-    symbolic = f.series(max_n).as_ints()
-    oracle = _oracle_series(avoid, once, max_n, workers, memo)
-    return _check(name, oracle, symbolic)
+def _series_check(name: str, f: RatFunc, avoid, once, n: int, census: CensusReader) -> Check:
+    return _check(name, census.series(avoid, once, n), f.series(n).as_ints())
 
 
 def oracle_catalog_cases():
@@ -246,22 +253,22 @@ def oracle_catalog_cases():
         f = cf_iterative(1, f)
 
 
-def suite_oracle(max_n: int = 9, workers: int = 1, memo: dict | None = None) -> list[Check]:
-    memo = {} if memo is None else memo
-    checks = []
-    for name, f, avoid, once in oracle_catalog_cases():
-        checks.append(_series_check(name, f, avoid, once, max_n, workers, memo))
-    checks.append(_check("frozen series: Fibonacci for k=3, l=2",
-                         [1, 1, 2, 3, 5, 8, 13, 21, 34, 55][:max_n + 1],
-                         ulk_avoid_gf(3, 2).series(max_n).as_ints()))
-    checks.append(_check("frozen series: half-companion-Pell for k=4, l=2",
-                         [1, 1, 2, 5, 12, 29, 70, 169, 408, 985][:max_n + 1],
-                         ulk_avoid_gf(4, 2).series(max_n).as_ints()))
-    checks.extend(u2k_comparison(max_n=max_n, workers=workers, memo=memo))
+def suite_oracle(census: CensusReader) -> list[Check]:
+    max_n = census.max_n
+    checks = [_series_check(name, f, avoid, once, max_n, census)
+              for name, f, avoid, once in oracle_catalog_cases()]
+    for name, k, frozen in (
+            ("Fibonacci", 3, [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233]),
+            ("half-companion-Pell", 4,
+             [1, 1, 2, 5, 12, 29, 70, 169, 408, 985, 2378, 5741, 13860])):
+        n = min(max_n, len(frozen) - 1)  # the frozen terms reach the deep run's n = 12
+        checks.append(_check(f"frozen series: {name} for k={k}, l=2",
+                             frozen[:n + 1], ulk_avoid_gf(k, 2).series(n).as_ints()))
+    checks.extend(_u2k_comparison(census))
     return checks
 
 
-def u2k_comparison(max_n: int = 10, workers: int = 1, memo: dict | None = None) -> list[Check]:
+def _u2k_comparison(census: CensusReader) -> list[Check]:
     """Closed-sum formula vs census for the both-patterns-once family.
 
     k=3: the formula must be identically zero.  k=4: the comparison is
@@ -269,26 +276,19 @@ def u2k_comparison(max_n: int = 10, workers: int = 1, memo: dict | None = None) 
     on, so the check records the discrepancy without failing.  k=5: strict
     coefficientwise match is demanded and fails (first at length 8).
     """
-    memo = {} if memo is None else memo
-    checks = []
-    oracles = {}
-    formulas = {}
-    for k in (3, 4, 5):
-        formulas[k] = u2k_both_once_gf(k)
-        oracles[k] = _oracle_series((), ulk_members(k, 2), max_n, workers, memo)
-    checks.append(_check("both-once formula at k=3 is identically zero",
-                         RatFunc(), formulas[3],
-                         note=f"census series (authoritative): {oracles[3]}"))
-    f4 = formulas[4].series(max_n).as_ints()
+    n = census.max_n
+    counts = {k: census.series((), ulk_members(k, 2), n) for k in (3, 4, 5)}
+    f4, f5 = (u2k_both_once_gf(k).series(n).as_ints() for k in (4, 5))
     note4 = ("documented discrepancy: the empty-sum formula misses the census counts; "
              "the census is authoritative")
-    checks.append(Check("both-once k=4: formula-vs-census comparison report",
-                        "pass", f"census {oracles[4]}", f"formula {f4}", note4))
-    f5 = formulas[5].series(max_n).as_ints()
-    checks.append(_check("both-once k=5: formula series matches census",
-                         oracles[5], f5,
-                         note="known defect: the closed sum starts one length too late"))
-    return checks
+    return [
+        _check("both-once formula at k=3 is identically zero", RatFunc(), u2k_both_once_gf(3),
+               note=f"census series (authoritative): {counts[3]}"),
+        Check("both-once k=4: formula-vs-census comparison report",
+              "pass", f"census {counts[4]}", f"formula {f4}", note4),
+        _check("both-once k=5: formula series matches census", counts[5], f5,
+               note="known defect: the closed sum starts one length too late"),
+    ]
 
 
 AVOID_BATTERY: tuple[tuple[Pattern, ...], ...] = (
@@ -321,21 +321,21 @@ EXTRA_EXACT_BATTERY: tuple[tuple[tuple[Pattern, ...], tuple[Pattern, ...]], ...]
 )
 
 
-def suite_recurrence(max_n: int = 9, workers: int = 1, memo: dict | None = None) -> list[Check]:
-    memo = {} if memo is None else memo
+def suite_recurrence(census: CensusReader) -> list[Check]:
+    max_n = census.max_n
     checks = []
     for pats in AVOID_BATTERY:
         name = "recurrence vs census: avoid {" + ", ".join(map(str, pats)) + "}"
-        checks.append(_series_check(name, avoid_set_gf(pats), pats, (), max_n, workers, memo))
+        checks.append(_series_check(name, avoid_set_gf(pats), pats, (), max_n, census))
     for avoid, once in EXACT_BATTERY:
         name = f"recurrence vs census: avoid {avoid} once {once}"
         checks.append(_series_check(name, avoid_contain_gf(avoid, once),
-                                    avoid, once, max_n, workers, memo))
+                                    avoid, once, max_n, census))
     extra_n = min(max_n, 8)
     for avoid, once in EXTRA_EXACT_BATTERY:
         name = f"recurrence vs census (extra): avoid {avoid} once {once}"
         checks.append(_series_check(name, avoid_contain_gf(avoid, once),
-                                    avoid, once, extra_n, workers, memo))
+                                    avoid, once, extra_n, census))
     for l in (1, 2):
         for k in range(l, 7):
             name = f"recurrence == catalog for tail family k={k}, l={l}"
@@ -345,16 +345,17 @@ def suite_recurrence(max_n: int = 9, workers: int = 1, memo: dict | None = None)
 
 def run_suites(names, *, order: int = 16, max_n: int = 9, workers: int = 1) -> dict:
     """Run the named suites (or all) and bundle a JSON-ready report.  The
-    suites share one census memo, so no query is counted twice."""
+    suites read the census through one `CensusReader`, so no query is
+    counted twice, and `max_n` is its bound."""
     wanted = list(SUITE_NAMES) if "all" in names else list(names)
     report = {"suites": {}, "passed": True}
-    memo: dict = {}
+    census = CensusReader(max_n, workers)
     suites = {
         "algebra": suite_algebra,
         "chebyshev": lambda: suite_chebyshev(order=order),
         "catalog": suite_catalog,
-        "oracle": lambda: suite_oracle(max_n=max_n, workers=workers, memo=memo),
-        "recurrence": lambda: suite_recurrence(max_n=max_n, workers=workers, memo=memo),
+        "oracle": lambda: suite_oracle(census),
+        "recurrence": lambda: suite_recurrence(census),
     }
     for name in wanted:
         if name not in suites:

@@ -1,10 +1,14 @@
 """Command-line interface: verbs, exit codes, JSON round trips."""
 
+import gc
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 
-from patgf import cli
+from patgf import cli, perms
 from patgf.cli import main
 
 
@@ -34,15 +38,18 @@ def test_count_at_least_once(capsys):
     assert (code, out.strip()) == (0, "5")
 
 
-def test_count_bound_overrides(capsys, monkeypatch):
+def test_count_bound_overrides(capsys):
     code, out, _ = run(capsys, "count", "--avoid", "12", "--n", "11", "--max-n", "11")
     assert (code, out.strip()) == (0, "1")
-    monkeypatch.setenv("PATGF_MAX_N", "11")
-    code, out, _ = run(capsys, "count", "--avoid", "12", "--n", "11")
-    assert (code, out.strip()) == (0, "1")
-    monkeypatch.setenv("PATGF_MAX_N", "4")
-    code, _, _ = run(capsys, "count", "--n", "5")
-    assert code == 3
+
+
+def test_verify_max_n_is_its_own_bound(capsys, monkeypatch):
+    # verify --max-n past the default bound runs; count still needs --max-n
+    monkeypatch.setattr(perms, "DEFAULT_MAX_N", 5)
+    code, out, _ = run(capsys, "verify", "--suite", "recurrence", "--max-n", "6")
+    assert code == 0 and "all checks passed" in out
+    code, out, err = run(capsys, "count", "--n", "6")
+    assert (code, out) == (3, "") and "feasibility" in err
 
 
 def test_series(capsys):
@@ -115,6 +122,37 @@ def test_exit_code_unexpected_exception(capsys, monkeypatch):
     code, out, err = run(capsys, "gf", "catalog:ulk", "--k", "3000", "--l", "1")
     assert code == cli.EXIT_INTERNAL != cli.EXIT_VERIFY_FAILED
     assert out == "" and "error: internal error: RecursionError" in err
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone away, with no file descriptor."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_exit_code_closed_output(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdout", _ClosedStdout())
+    code = main(["table", "--family", "ulk", "--l", "2", "--k", "2", "--order", "5"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INTERNAL != cli.EXIT_VERIFY_FAILED
+    assert err == "error: output closed\n"
+
+
+def test_main_leaves_no_cyclic_garbage(capsys):
+    argv = ["gf", "catalog:ulk", "--k", "3", "--l", "2"]
+    main(argv)  # the parser is built on the first call
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out == "1/(1 - x - x^2)\n" * 2
 
 
 def test_exit_code_too_large(capsys):
@@ -219,3 +257,21 @@ def test_verify_text_and_json_agree(capsys):
     report = json.loads(blob)
     for check in report["suites"]["catalog"]:
         assert check["name"] in text
+
+
+def _readme_examples():
+    """Each `patgf ...  # output` line of the README's sh blocks: the
+    arguments and the literal stdout that the comment states."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    for line in "".join(blocks).splitlines():
+        command, _, stated = line.partition("  # ")
+        if command.startswith("patgf ") and stated:
+            yield shlex.split(command)[1:], stated.strip()
+
+
+def test_readme_examples(capsys):
+    examples = list(_readme_examples())
+    assert len(examples) >= 5
+    for argv, stated in examples:
+        assert run(capsys, *argv)[:2] == (0, stated + "\n"), argv

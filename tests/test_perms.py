@@ -164,8 +164,8 @@ def test_census_matches_reference_on_verify_queries(monkeypatch):
         return series
 
     monkeypatch.setattr(verify, "census_series", recording)
-    verify.suite_oracle(max_n=8)
-    verify.suite_recurrence(max_n=8)
+    verify.suite_oracle(verify.CensusReader(8, workers=1))
+    verify.suite_recurrence(verify.CensusReader(8, workers=1))
     distinct = {(query, order): series for query, order, series in calls}
     assert len(distinct) >= 25
     for (query, order), series in distinct.items():
@@ -248,13 +248,6 @@ def test_census_bound():
     with pytest.raises(LengthTooLarge):
         census(PatternQuery(), 11)
     assert census(PatternQuery(avoid=((1, 2),)), 11, bound=11) == 1
-
-
-def test_census_bound_env(monkeypatch):
-    monkeypatch.setenv("PATGF_MAX_N", "3")
-    with pytest.raises(LengthTooLarge):
-        census(PatternQuery(), 4)
-    assert census(PatternQuery(), 3) == 6
 
 
 def test_pattern_query_disjointness():

@@ -43,14 +43,6 @@ def test_poly_structure():
     assert Poly().degree == -1
 
 
-def test_poly_divmod():
-    a = Poly([2, 0, -3, 1])
-    b = Poly([1, 1])
-    q, r = a.divmod(b)
-    assert q * b + r == a
-    assert r.degree < b.degree
-
-
 def test_poly_gcd():
     a = Poly([1, -1]) * Poly([1, 1])
     b = Poly([1, -1]) * Poly([1, -2])
@@ -361,10 +353,6 @@ def test_ratfunc_matches_the_fraction_reference(a, b, common, half):
     assert _agrees(pa - pb, _ref_add(ra, rb, -1))
     assert _agrees(-pa, _ref_add((), ra, -1))
     assert _agrees(pa * pb, _ref_mul(ra, rb))
-    if rb:
-        q, r = pa.divmod(pb)
-        want_q, want_r = _ref_divmod(ra, rb)
-        assert _agrees(q, want_q) and _agrees(r, want_r)
     # a shared factor of high degree, so that the gcd is not trivial
     shared = _ref_product(common)
     if half:
