@@ -49,6 +49,14 @@ without listing the cases themselves; then
 F = [no exactly-once patterns] + x*sum c*F(L)*F(R), with one factor x for
 the entry n.  A pair holds the state itself on at most one side, so this is
 one linear equation per state, solved once by `_evaluate`.
+
+The patterns of one query and the tests on them live in a `PatternAlgebra`,
+which `avoid_contain_gf` builds and `_evaluate` and `_child_pairs` hand
+down.  It numbers every pattern a state can hold with a small int, in
+canonical order, so a `GfState` is two sorted id tuples; it keeps each
+pattern's rows in ids, and memoises the pairwise occurrence tests and the
+canonicalisation `make`.  It lives for one query and no longer.
+
 The b=1 reading above is pinned by the exhaustive census: the verification
 battery compares every engine output against brute-force counts.
 """
@@ -60,7 +68,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .chebyshev import catalan_poly, cf_closed, cf_denominator, reduced_w
-from .decompose import decompose
+from .decompose import CanonicalDecomposition, decompose
 from .errors import Not132Avoiding, PreconditionViolated
 from .perms import PATTERN_132, Pattern, canonical_patterns, contains, count_occurrences, is_permutation
 from .ratfunc import P_X, RF_ONE, RF_X, RF_ZERO, Poly, RatFunc
@@ -68,13 +76,85 @@ from .ratfunc import P_X, RF_ONE, RF_X, RF_ZERO, Poly, RatFunc
 
 @dataclass(frozen=True)
 class GfState:
-    """Canonical recursion key: an (avoid-set, exactly-once-set) pair."""
+    """Canonical recursion key: an (avoid-set, exactly-once-set) pair, each
+    a sorted tuple of the ids its query's `PatternAlgebra` gives patterns.
+    `PatternAlgebra.make` builds the canonical ones."""
 
-    avoid: tuple[Pattern, ...]
-    exactly_once: tuple[Pattern, ...]
+    avoid: tuple[int, ...]
+    exactly_once: tuple[int, ...]
 
-    @staticmethod
-    def make(avoid: Iterable[Pattern], exactly_once: Iterable[Pattern]) -> "GfState | None":
+
+class PatternAlgebra:
+    """One query's patterns, interned as small ints, with the tests the
+    recursion runs on them, each worked out once.
+
+    Every pattern a state can hold is a query pattern or a cut of one
+    (`_cases` splits a pattern only into heads, prefixes and suffixes of its
+    decomposition), so the closure of the query's patterns under
+    `decompose`'s cuts holds them all.  The ids number that closure in
+    `canonical_patterns` order: the empty pattern is 0, and a sorted id
+    tuple lists its patterns in canonical order.  The case rows of each
+    (pattern, exactly-once or not), the two pairwise tests and `make` are
+    memoised as they are first asked for.  `avoid_contain_gf` builds one
+    algebra per query, and it goes when the query returns.
+    """
+
+    EMPTY = 0
+
+    def __init__(self, patterns: Iterable[Pattern]):
+        closure: dict[Pattern, CanonicalDecomposition | None] = {(): None}
+        todo = list(patterns)
+        while todo:
+            t = todo.pop()
+            if t not in closure:
+                d = closure[t] = decompose(t)
+                todo += d.heads + d.suffixes
+        self.patterns = canonical_patterns(closure)
+        self.ids = {t: i for i, t in enumerate(self.patterns)}
+        self._decompositions = [closure[t] for t in self.patterns]
+        self._rows: dict[tuple[int, bool], list] = {}
+        self._holds: dict[tuple[int, int], bool] = {}
+        self._twice: dict[tuple[int, int], bool] = {}
+        self._made: dict[tuple[tuple[int, ...], tuple[int, ...]], GfState | None] = {}
+
+    def state(self, avoid: Iterable[Pattern], exactly_once: Iterable[Pattern]) -> GfState | None:
+        """`make` on patterns of the closure."""
+        ids = self.ids
+        return self.make(tuple(ids[t] for t in avoid), tuple(ids[t] for t in exactly_once))
+
+    def decode(self, state: GfState) -> tuple[tuple[Pattern, ...], tuple[Pattern, ...]]:
+        """The state's avoid and exactly-once patterns, in canonical order."""
+        patterns = self.patterns
+        return (tuple(patterns[i] for i in state.avoid),
+                tuple(patterns[i] for i in state.exactly_once))
+
+    def holds(self, i: int, j: int) -> bool:
+        """Does pattern j occur in pattern i?"""
+        found = self._holds.get((i, j))
+        if found is None:
+            found = contains(self.patterns[i], self.patterns[j])
+            self._holds[i, j] = found
+        return found
+
+    def holds_twice(self, i: int, j: int) -> bool:
+        """Does pattern j occur in pattern i at least twice?"""
+        found = self._twice.get((i, j))
+        if found is None:
+            found = count_occurrences(self.patterns[i], self.patterns[j], cap=2) >= 2
+            self._twice[i, j] = found
+        return found
+
+    def rows(self, i: int, once: bool) -> list[tuple[tuple[int, ...], ...]]:
+        """`_cases` of pattern i, in ids."""
+        rows = self._rows.get((i, once))
+        if rows is None:
+            ids = self.ids
+            rows = [tuple(tuple(ids[t] for t in column) for column in row)
+                    for row in _cases(self._decompositions[i], once)]
+            self._rows[i, once] = rows
+        return rows
+
+    def make(self, avoid: tuple[int, ...], exactly_once: tuple[int, ...]) -> GfState | None:
         """Canonicalize; returns None when the counting function is
         identically zero.
 
@@ -87,25 +167,32 @@ class GfState:
         constraint); the empty pattern on the exactly-once side (it occurs
         exactly once in everything).
         """
-        avoid_set = {tuple(a) for a in avoid}
-        once_set = {tuple(b) for b in exactly_once if len(b) > 0}
-        if () in avoid_set:
+        made, key = self._made, (avoid, exactly_once)
+        if key not in made:
+            made[key] = self._canonical(avoid, exactly_once)
+        return made[key]
+
+    def _canonical(self, avoid: tuple[int, ...], exactly_once: tuple[int, ...]) -> GfState | None:
+        holds, twice = self.holds, self.holds_twice
+        avoid_set = set(avoid)
+        once_set = set(exactly_once) - {self.EMPTY}
+        if self.EMPTY in avoid_set:
             return None
         for b in once_set:
             for a in avoid_set:
-                if contains(b, a):
+                if holds(b, a):
                     return None
             for b2 in once_set:
-                if b2 != b and count_occurrences(b, b2, cap=2) >= 2:
+                if b2 != b and twice(b, b2):
                     return None
         keep = []
         for a in avoid_set:
-            redundant = any(a2 != a and contains(a, a2) for a2 in avoid_set)
+            redundant = any(a2 != a and holds(a, a2) for a2 in avoid_set)
             if not redundant:
-                redundant = any(count_occurrences(a, b, cap=2) >= 2 for b in once_set)
+                redundant = any(twice(a, b) for b in once_set)
             if not redundant:
                 keep.append(a)
-        return GfState(canonical_patterns(keep), canonical_patterns(once_set))
+        return GfState(tuple(sorted(keep)), tuple(sorted(once_set)))
 
 
 def _validate_patterns(patterns: Iterable[Pattern]) -> tuple[Pattern, ...]:
@@ -124,12 +211,11 @@ def _validate_patterns(patterns: Iterable[Pattern]) -> tuple[Pattern, ...]:
 # The block recurrence
 # ---------------------------------------------------------------------------
 
-def _cases(t: Pattern, once: bool) -> list[tuple[tuple[Pattern, ...], ...]]:
+def _cases(d: CanonicalDecomposition, once: bool) -> list[tuple[tuple[Pattern, ...], ...]]:
     """The rows of the module docstring's table for an avoided (once=False)
-    or exactly-once (once=True) pattern t: each row is (left avoids, left
-    once, left at least once, right avoids, right once)."""
-    d = decompose(t)
-    r, h, p, s = d.r, d.heads, d.prefixes, d.suffixes
+    or exactly-once (once=True) pattern t with decomposition d: each row is
+    (left avoids, left once, left at least once, right avoids, right once)."""
+    t, r, h, p, s = d.pattern, d.r, d.heads, d.prefixes, d.suffixes
     if not once:
         return [((p[a],), (), (p[a - 1],) if a >= 1 and p[a - 1] else (), (s[a],), ())
                 for a in range(r + 1)]
@@ -141,7 +227,7 @@ def _cases(t: Pattern, once: bool) -> list[tuple[tuple[Pattern, ...], ...]]:
     return rows
 
 
-def _child_pairs(state: GfState) -> dict[tuple[GfState, GfState], int]:
+def _child_pairs(state: GfState, algebra: PatternAlgebra) -> dict[tuple[GfState, GfState], int]:
     """A nonempty state's cases as a signed multiset: the net coefficient of
     each (left, right) child pair over every case and inclusion-exclusion
     term, leaving out zero children and the pairs whose signs cancel.
@@ -203,22 +289,23 @@ def _child_pairs(state: GfState) -> dict[tuple[GfState, GfState], int]:
     one or for an exactly-once one, and an empty avoided pattern makes the
     child zero (None), not empty.
     """
+    make = algebra.make
     empty = GfState((), ())
     frontier = {(empty, empty): 1}
     kinds = [(t, False) for t in state.avoid] + [(g, True) for g in state.exactly_once]
     for t, once in kinds:
-        rows = _cases(t, once)
+        rows = algebra.rows(t, once)
         step: dict[tuple[GfState, GfState], int] = {}
         for (left, right), c in frontier.items():
             for l_avoid, l_once, l_atleast, r_avoid, r_once in rows:
-                new_right = GfState.make(right.avoid + r_avoid, right.exactly_once + r_once)
+                new_right = make(right.avoid + r_avoid, right.exactly_once + r_once)
                 if new_right is None:
                     continue
                 terms = [(c, l_avoid)]
                 if l_atleast:
                     terms.append((-c, l_avoid + l_atleast))
                 for coeff, avoid in terms:
-                    new_left = GfState.make(left.avoid + avoid, left.exactly_once + l_once)
+                    new_left = make(left.avoid + avoid, left.exactly_once + l_once)
                     if new_left is not None:
                         pair = new_left, new_right
                         step[pair] = step.get(pair, 0) + coeff
@@ -226,7 +313,7 @@ def _child_pairs(state: GfState) -> dict[tuple[GfState, GfState], int]:
     return frontier
 
 
-def _evaluate(state: GfState, memo: dict) -> RatFunc:
+def _evaluate(state: GfState, algebra: PatternAlgebra, memo: dict) -> RatFunc:
     """Solve the one linear equation `_child_pairs` gives for a nonempty
     state: F = (leading + x*rest) / (1 - x*S), where S sums the pairs that
     hold the state on one side.  Every child value has passed the
@@ -237,19 +324,19 @@ def _evaluate(state: GfState, memo: dict) -> RatFunc:
         return memo[state]
 
     self_coeff = rest = RF_ZERO
-    for (left, right), c in _child_pairs(state).items():
+    for (left, right), c in _child_pairs(state, algebra).items():
         if state in (left, right):
             other = right if left == state else left
-            self_coeff = self_coeff + c * _evaluate(other, memo)
+            self_coeff = self_coeff + c * _evaluate(other, algebra, memo)
         else:
-            right_val = _evaluate(right, memo)
+            right_val = _evaluate(right, algebra, memo)
             if not right_val.is_zero():
-                rest = rest + c * _evaluate(left, memo) * right_val
+                rest = rest + c * _evaluate(left, algebra, memo) * right_val
     leading = RF_ZERO if state.exactly_once else RF_ONE
     result = (leading + RF_X * rest) / (RF_ONE - RF_X * self_coeff)
 
     expected_c0 = 0 if state.exactly_once else 1
-    assert result.series(0)[0] == expected_c0, f"constant term broken for {state}"
+    assert result.series(0)[0] == expected_c0, f"constant term broken for {algebra.decode(state)}"
     memo[state] = result
     return result
 
@@ -270,13 +357,14 @@ def avoid_contain_gf(avoid: Iterable[Pattern], exactly_once: Iterable[Pattern]) 
         raise PreconditionViolated("avoid and exactly-once sets must be disjoint")
     if not a and not b:
         raise PreconditionViolated("at least one pattern is required")
-    state = GfState.make(a, b)
+    algebra = PatternAlgebra(a + b)
+    state = algebra.state(a, b)
     if state is None:
         return RF_ZERO
     if not state.avoid and not state.exactly_once:
         raise PreconditionViolated(
             "constraints reduce to the unrestricted class, which is not rational")
-    return _evaluate(state, {})
+    return _evaluate(state, algebra, {})
 
 
 # ---------------------------------------------------------------------------

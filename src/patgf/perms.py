@@ -362,9 +362,10 @@ def census_reference(query: PatternQuery, n: int) -> int:
     such an occurrence uses v), which skips every permutation with that
     prefix; since any occurrence survives in all completions, no counted
     permutation is lost.  Each permutation reached is then checked against
-    the exactly-once and at-least-once sets with `count_occurrences`.  It
-    shares only `count_occurrences` with the census, and the tests hold that
-    to a brute force over index subsets.
+    the exactly-once and at-least-once sets with `count_occurrences` and
+    `contains`.  The walk is one loop, with the prefix as its explicit
+    stack.  It shares only `count_occurrences` with the census, and the
+    tests hold that to a brute force over index subsets.
     """
     if n < 0:
         raise PreconditionViolated("census length must be non-negative")
@@ -372,38 +373,27 @@ def census_reference(query: PatternQuery, n: int) -> int:
         return 0
     exactly = tuple(t for t in query.exactly_once if t)
     atleast = tuple(t for t in query.at_least_once if t)
-    prefix: list[int] = []
-    used = [False] * (n + 1)
     count = 0
-
-    def leaf_ok() -> bool:
-        for t in exactly:
-            if count_occurrences(prefix, t, cap=2) != 1:
-                return False
-        for t in atleast:
-            if count_occurrences(prefix, t, cap=1) == 0:
-                return False
-        return True
-
-    def extend():
-        nonlocal count
+    prefix: list[int] = []  # the stack: one value per position placed
+    used = [False] * (n + 1)
+    v = 1  # the next value to try after the prefix
+    while True:
         if len(prefix) == n:
-            if leaf_ok():
-                count += 1
-            return
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
-            word = prefix + [v]
-            if not any(contains(word, t) for t in query.avoid):
+            count += (all(count_occurrences(prefix, t, cap=2) == 1 for t in exactly)
+                      and all(contains(prefix, t) for t in atleast))
+        else:
+            while v <= n and (used[v] or any(contains(prefix + [v], t) for t in query.avoid)):
+                v += 1
+            if v <= n:
                 used[v] = True
                 prefix.append(v)
-                extend()
-                prefix.pop()
-                used[v] = False
-
-    extend()
-    return count
+                v = 1
+                continue
+        if not prefix:
+            return count
+        v = prefix.pop()
+        used[v] = False
+        v += 1
 
 
 def flatten(word: Sequence[int]) -> Pattern:

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from patgf import (
-    GfState,
     Not132Avoiding,
     PatternQuery,
     Poly,
@@ -23,13 +22,16 @@ from patgf import (
     cf_iterative,
     cf_product_closed,
     contains,
+    decompose,
+    count_occurrences,
     flatten,
     u2k_both_once_gf,
     ulk_avoid_gf,
     ulk_exact_once_gf,
     ulk_members,
 )
-from patgf.engine import _cases, _child_pairs
+from patgf import engine
+from patgf.engine import PatternAlgebra, _cases, _child_pairs
 from patgf.perms import canonical_patterns
 
 P132 = (1, 3, 2)
@@ -200,19 +202,51 @@ def test_constant_terms():
 # GfState canonicalization
 # ---------------------------------------------------------------------------
 
+def _reference_make(avoid, exactly_once):
+    """The pattern-level canonicaliser that `PatternAlgebra.make` interns:
+    the (avoid, exactly-once) patterns in canonical order, or None when the
+    counting function is identically zero."""
+    avoid_set = {tuple(a) for a in avoid}
+    once_set = {tuple(b) for b in exactly_once if len(b) > 0}
+    if () in avoid_set:
+        return None
+    for b in once_set:
+        for a in avoid_set:
+            if contains(b, a):
+                return None
+        for b2 in once_set:
+            if b2 != b and count_occurrences(b, b2, cap=2) >= 2:
+                return None
+    keep = []
+    for a in avoid_set:
+        redundant = any(a2 != a and contains(a, a2) for a2 in avoid_set)
+        if not redundant:
+            redundant = any(count_occurrences(a, b, cap=2) >= 2 for b in once_set)
+        if not redundant:
+            keep.append(a)
+    return canonical_patterns(keep), canonical_patterns(once_set)
+
+
+def _make_decoded(avoid, exactly_once):
+    """The interned make of one query's patterns, decoded to patterns."""
+    algebra = PatternAlgebra(tuple(avoid) + tuple(exactly_once))
+    state = algebra.state(avoid, exactly_once)
+    return None if state is None else algebra.decode(state)
+
+
 def test_state_canonicalization():
-    s = GfState.make([(2, 3, 1), (1, 2)], [])
-    assert s.avoid == ((1, 2),)  # 231 contains 12
-    s = GfState.make([(1, 2, 3)], [(1, 2)])
-    assert s.avoid == ()  # holds two copies of the once-pattern
-    assert s.exactly_once == ((1, 2),)
-    assert GfState.make([()], []) is None
-    assert GfState.make([(1, 2)], [(1, 2, 3)]) is None  # once contains avoid
-    assert GfState.make([], [(1, 2), (1, 2, 3)]) is None  # 123 holds three 12s
-    s = GfState.make([], [()])
-    assert s.exactly_once == ()  # vacuous
-    s = GfState.make([(1,)], [])
-    assert s.avoid == ((1,),)
+    avoid, _ = _make_decoded([(2, 3, 1), (1, 2)], [])
+    assert avoid == ((1, 2),)  # 231 contains 12
+    avoid, once = _make_decoded([(1, 2, 3)], [(1, 2)])
+    assert avoid == ()  # holds two copies of the once-pattern
+    assert once == ((1, 2),)
+    assert _make_decoded([()], []) is None
+    assert _make_decoded([(1, 2)], [(1, 2, 3)]) is None  # once contains avoid
+    assert _make_decoded([], [(1, 2), (1, 2, 3)]) is None  # 123 holds three 12s
+    _, once = _make_decoded([], [()])
+    assert once == ()  # vacuous
+    avoid, _ = _make_decoded([(1,)], [])
+    assert avoid == ((1,),)
 
 
 def _down_set(patterns):
@@ -221,33 +255,38 @@ def _down_set(patterns):
             for size in range(len(p) + 1) for keep in itertools.combinations(range(len(p)), size)}
 
 
-def _reached_states(root):
+def _reached_states(root, algebra):
     """Every state the recursion reaches from root, root included."""
     todo, seen = [root], {root}
     while todo:
         state = todo.pop()
         yield state
-        for pair in _child_pairs(state):
+        for pair in _child_pairs(state, algebra):
             for child in pair:
                 if child not in seen:
                     seen.add(child)
                     todo.append(child)
 
 
-def _child_pairs_product(state):
-    """The reference that `_child_pairs` folds: the product of every
-    pattern's rows, each case joined column by column, its right side made
-    once and its left at-least-once column expanded over subsets."""
-    rows = [_cases(t, False) for t in state.avoid]
-    rows += [_cases(g, True) for g in state.exactly_once]
+def _decoded_pairs(pairs, algebra):
+    return {(algebra.decode(left), algebra.decode(right)): c for (left, right), c in pairs.items()}
+
+
+def _child_pairs_product(avoid, once):
+    """The reference that `_child_pairs` folds, on a state's patterns: the
+    product of every pattern's rows, each case joined column by column, its
+    right side made once and its left at-least-once column expanded over
+    subsets; the pairs are decoded states."""
+    rows = [_cases(decompose(t), False) for t in avoid]
+    rows += [_cases(decompose(g), True) for g in once]
     terms = {}
     for case in itertools.product(*rows):
         l_avoid, l_once, l_atleast, r_avoid, r_once = (sum(column, ()) for column in zip(*case))
-        right = GfState.make(r_avoid, r_once)
+        right = _reference_make(r_avoid, r_once)
         if right is None:
             continue
         for sign, left_avoid in _at_least_once_expansion(l_avoid, canonical_patterns(l_atleast)):
-            left = GfState.make(left_avoid, l_once)
+            left = _reference_make(left_avoid, l_once)
             if left is not None:
                 terms[left, right] = terms.get((left, right), 0) + sign
     return {pair: c for pair, c in terms.items() if c}
@@ -257,35 +296,85 @@ query_avoid = st.lists(st.sampled_from(AVOIDERS_TO_5), min_size=1, max_size=2, u
 query_once = st.lists(st.sampled_from(AVOIDERS_TO_5), max_size=2, unique=True)
 
 
+def _query_root(avoid, once):
+    algebra = PatternAlgebra(tuple(avoid) + tuple(once))
+    root = algebra.state(avoid, once)
+    assume(root is not None and not set(avoid) & set(once))
+    return root, algebra
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(avoid=query_avoid, once=query_once)
+def test_interned_make_equals_the_reference(avoid, once):
+    # every make the recursion runs from the query, decoded, against the
+    # pattern-level canonicaliser; the memo holds each input it was given
+    root, algebra = _query_root(avoid, once)
+    for _ in _reached_states(root, algebra):
+        pass
+    assert algebra._made
+    for (avoid_ids, once_ids), state in algebra._made.items():
+        patterns = algebra.patterns
+        want = _reference_make([patterns[i] for i in avoid_ids], [patterns[i] for i in once_ids])
+        assert (None if state is None else algebra.decode(state)) == want, (avoid_ids, once_ids)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(avoid=query_avoid, once=query_once)
 def test_child_pairs_shrink_in_the_recursion_order(avoid, once):
     # the order on states that lets the recursion go without a cycle guard,
     # checked on every state the recursion reaches from the query
-    root = GfState.make(avoid, once)
-    assume(root is not None and not set(avoid) & set(once))
-    for state in _reached_states(root):
-        size = sum(len(g) for g in state.exactly_once)
-        down = _down_set(state.avoid)
-        for left, right in _child_pairs(state):
+    root, algebra = _query_root(avoid, once)
+    for state in _reached_states(root, algebra):
+        state_avoid, state_once = algebra.decode(state)
+        size = sum(len(g) for g in state_once)
+        down = _down_set(state_avoid)
+        for left, right in _child_pairs(state, algebra):
             assert (left, right) != (state, state)
             for child in (left, right):
-                assert child.avoid or child.exactly_once, (state, child)
+                child_avoid, child_once = algebra.decode(child)
+                assert child_avoid or child_once, (state, child)
                 if child == state:
                     continue
-                child_size = sum(len(g) for g in child.exactly_once)
+                child_size = sum(len(g) for g in child_once)
                 assert child_size <= size, (state, child)
-                assert child_size < size or _down_set(child.avoid) < down, (state, child)
+                assert child_size < size or _down_set(child_avoid) < down, (state, child)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(avoid=query_avoid, once=query_once)
 def test_child_pairs_fold_equals_case_product(avoid, once):
     # the fold against the case product, on every state reached from the query
-    root = GfState.make(avoid, once)
-    assume(root is not None and not set(avoid) & set(once))
-    for state in _reached_states(root):
-        assert _child_pairs(state) == _child_pairs_product(state), state
+    root, algebra = _query_root(avoid, once)
+    for state in _reached_states(root, algebra):
+        assert _decoded_pairs(_child_pairs(state, algebra), algebra) \
+            == _child_pairs_product(*algebra.decode(state)), state
+
+
+def test_pattern_algebra_is_per_query(monkeypatch):
+    # each query builds its own algebra, so a repeated query repeats the
+    # engine's occurrence tests: no memo outlives a query
+    calls = {"contains": 0, "count_occurrences": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
+    members = [t for t in ulk_members(5, 3) if not contains(t, P132)]
+    for run in (lambda: avoid_set_gf(members),
+                lambda: avoid_contain_gf([(2, 1, 3)], [(1, 2, 3), (2, 3, 1)])):
+        counts = []
+        for _ in range(2):
+            for name in calls:
+                calls[name] = 0
+            run()
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["contains"] > 0
+    assert counts[0]["count_occurrences"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +398,7 @@ def test_ulk_avoid_gf_examples():
 
 def test_ulk_catalog_matches_recurrence():
     # avoid_set_gf rejects members that contain 132; the ambient 132 excludes them anyway
-    for l in range(1, 6):
+    for l in range(1, 7):
         for k in range(l, 8):
             members = [t for t in ulk_members(k, l) if not contains(t, P132)]
             assert ulk_avoid_gf(k, l) == avoid_set_gf(members), (k, l)

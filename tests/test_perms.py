@@ -214,6 +214,8 @@ def test_census_and_occurrence_search_leave_no_garbage():
     gc.disable()
     try:
         census_series(query, 7)
+        for n in range(7):
+            census_reference(query, n)
         for p in itertools.permutations(range(1, 7)):
             count_occurrences(p, (2, 1, 3))
             count_occurrences(p, (1, 2), cap=2)
