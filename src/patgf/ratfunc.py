@@ -1,23 +1,19 @@
-"""Exact univariate polynomials and rational functions over the rationals.
+"""Exact univariate polynomials over Z and rational functions over Q.
 
-A polynomial is stored as a tuple of Python ints, ascending and with no
-trailing zero (the zero polynomial is the empty tuple), over one positive
-common denominator, in lowest terms: the gcd of the ints and the
-denominator is 1.  Every generating function this package produces has
-integer coefficients, so the denominator is nearly always 1 and the
-arithmetic is integer arithmetic.  `fractions.Fraction` appears only at the
-boundary: a coefficient that is not an integer, JSON input, and the series
-of a rational function whose coefficients are not integers.  A coefficient
-is read as an `int` when the polynomial is integral and as a `Fraction`
-otherwise; the two compare and hash equal.
+A polynomial is a tuple of Python ints, ascending and with no trailing zero
+(the zero polynomial is the empty tuple), so all arithmetic is integer
+arithmetic.  By Fatou's lemma a rational power series with integer
+coefficients is P/Q with P, Q in Z[x] and Q(0) = 1, so every generating
+function here has den(0) = 1.  `fractions.Fraction` appears only in JSON
+input, whose fractional coefficient strings are cleared of denominators,
+and in the series of a rational function with den(0) != 1.
 
-Rational functions are kept in a canonical form chosen so that structural
-equality coincides with equality of formal power series at the origin:
-gcd(num, den) = 1 and the lowest nonzero denominator coefficient is 1, which
-is den(0) whenever den(0) != 0.  Every generating function produced by this
-package is Taylor-expandable at 0, so its denominator has den(0) = 1.  The
-gcd is the primitive polynomial remainder sequence over Z[x] (Knuth, TAOCP
-vol. 2, 4.6.1; Brown, JACM 18, 1971), divided out exactly.
+Rational functions are kept in a canonical form in which structural
+equality is equality of formal power series at the origin: num and den
+share no factor of positive degree, their contents are coprime, and the
+lowest nonzero denominator coefficient is positive.  The gcd is the
+primitive polynomial remainder sequence over Z[x] (Knuth, TAOCP vol. 2,
+4.6.1; Brown, JACM 18, 1971), divided out exactly.
 """
 
 from __future__ import annotations
@@ -34,22 +30,21 @@ Coeff = Union[int, Fraction]
 
 
 class Poly:
-    """Immutable univariate polynomial with exact rational coefficients."""
+    """Immutable univariate polynomial with integer coefficients.
 
-    __slots__ = ("_ints", "_den")
+    >>> Poly([1, -2, -1, 0]).coeffs
+    (1, -2, -1)
+    """
 
-    def __init__(self, coeffs: Iterable[Coeff] = ()):
-        pairs = []
+    __slots__ = ("coeffs",)  # ascending ints, no trailing zero
+
+    def __init__(self, coeffs: Iterable[int] = ()):
+        ints = []
         for c in coeffs:
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
-            pairs.append((int(c.numerator), int(c.denominator)))
-        den = lcm(*(d for _, d in pairs))
-        # over the least common denominator the ints are already in lowest terms
-        ints = [n * (den // d) for n, d in pairs]
-        while ints and ints[-1] == 0:
-            ints.pop()
-        _init(self, tuple(ints), den if ints else 1)
+            if not isinstance(c, int):
+                raise TypeError(f"coefficient must be int, got {type(c).__name__}")
+            ints.append(int(c))
+        object.__setattr__(self, "coeffs", _strip(ints))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -57,29 +52,22 @@ class Poly:
     # -- structure ---------------------------------------------------------
 
     @property
-    def coeffs(self) -> tuple[Coeff, ...]:
-        """Ascending coefficients: ints when integral, else Fractions."""
-        if self._den == 1:
-            return self._ints
-        return tuple(Fraction(c, self._den) for c in self._ints)
-
-    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self._ints) - 1
+        return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
-        return not self._ints
+        return not self.coeffs
 
     def __bool__(self) -> bool:
-        return bool(self._ints)
+        return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = Poly([other])
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._ints == other._ints and self._den == other._den
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -87,31 +75,27 @@ class Poly:
     def __repr__(self):
         return f"Poly({self.render()})"
 
-    def coefficient(self, i: int) -> Coeff:
-        if not 0 <= i < len(self._ints):
-            return 0
-        c = self._ints[i]
-        return c if self._den == 1 else Fraction(c, self._den)
+    def coefficient(self, i: int) -> int:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "Poly":
-        return _lincomb(self, _as_poly(other), 1)
+        return _lincomb(self.coeffs, _as_poly(other).coeffs, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return _raw([-c for c in self._ints], self._den)
+        return _raw([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "Poly":
-        return _lincomb(self, _as_poly(other), -1)
+        return _lincomb(self.coeffs, _as_poly(other).coeffs, -1)
 
     def __rsub__(self, other) -> "Poly":
         return _as_poly(other) - self
 
     def __mul__(self, other) -> "Poly":
-        other = _as_poly(other)
-        a, b = self._ints, other._ints
+        a, b = self.coeffs, _as_poly(other).coeffs
         if not a or not b:
             return P_ZERO
         out = [0] * (len(a) + len(b) - 1)
@@ -119,7 +103,8 @@ class Poly:
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        return _reduced(out, self._den * other._den)
+        # Z has no zero divisors, so the leading coefficient is nonzero
+        return _raw(out)
 
     __rmul__ = __mul__
 
@@ -158,52 +143,33 @@ class Poly:
         return " ".join(parts)
 
 
-def _init(p: Poly, ints: tuple, den: int) -> None:
-    object.__setattr__(p, "_ints", ints)
-    object.__setattr__(p, "_den", den)
+def _strip(ints: list) -> tuple:
+    while ints and ints[-1] == 0:
+        ints.pop()
+    return tuple(ints)
 
 
-def _raw(ints, den: int = 1) -> Poly:
-    """The Poly ints/den, with ints stripped and already in lowest terms."""
+def _raw(ints) -> Poly:
+    """The Poly of ints, which has no trailing zero."""
     p = object.__new__(Poly)
-    _init(p, tuple(ints), den)
+    object.__setattr__(p, "coeffs", tuple(ints))
     return p
 
 
-def _reduced(ints: list, den: int) -> Poly:
-    """The Poly ints/den for den > 0: strips the list and brings it to lowest terms."""
-    while ints and ints[-1] == 0:
-        ints.pop()
-    if not ints:
-        return P_ZERO
-    g = _content(ints, den)
-    if g != 1:
-        ints = [c // g for c in ints]
-        den //= g
-    return _raw(ints, den)
-
-
-def _lincomb(p: Poly, q: Poly, sign: int) -> Poly:
-    """p + sign*q."""
-    a, b, den = p._ints, q._ints, p._den
-    ma = mb = 1
-    if den != q._den:
-        g = gcd(den, q._den)
-        ma, mb = q._den // g, den // g
-        den *= ma
-    out = [c * ma for c in a] if ma != 1 else list(a)
+def _lincomb(a: tuple, b: tuple, sign: int) -> Poly:
+    """a + sign*b."""
+    out = list(a)
     if len(out) < len(b):
         out.extend([0] * (len(b) - len(out)))
-    mb *= sign
     for i, c in enumerate(b):
-        out[i] += mb * c
-    return _reduced(out, den)
+        out[i] += sign * c
+    return _raw(_strip(out))
 
 
 def _as_poly(value) -> Poly:
     if isinstance(value, Poly):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return Poly([value])
     raise TypeError(f"cannot treat {type(value).__name__} as a polynomial")
 
@@ -212,23 +178,18 @@ def _as_poly(value) -> Poly:
 # Integer polynomials as lists: content, pseudo-division, primitive PRS gcd
 # ---------------------------------------------------------------------------
 
-def _content(ints, g: int = 0) -> int:
-    """The positive gcd of g and nonzero ints, stopping as soon as it is 1."""
+def _primitive(ints):
+    """(content, primitive part) of a nonzero integer polynomial; the part is
+    ints itself when the content is 1, which ends the gcd walk early."""
+    g = 0
     for c in ints:
         g = gcd(g, c)
         if g == 1:
-            break
-    return g
+            return 1, ints
+    return g, [c // g for c in ints]
 
 
-def _primitive(ints):
-    """(content, primitive part) of a nonzero integer polynomial; the part is
-    ints itself when the content is 1."""
-    g = _content(ints)
-    return g, (ints if g == 1 else [c // g for c in ints])
-
-
-def _pdiv(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
+def _pdiv(a: list[int], b: list[int]) -> tuple[int, list[int], tuple[int, ...]]:
     """Pseudo-division in Z[x] for deg a >= deg b: (scale, quo, rem) with
     scale*a = quo*b + rem, scale > 0, deg rem < deg b and rem stripped.  Each
     step scales by |lead(b)|/gcd rather than by lead(b), which keeps scale
@@ -252,9 +213,7 @@ def _pdiv(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
         quo[shift] = f
         for i in range(db):
             rem[shift + i] -= f * b[i]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return scale, quo, rem
+    return scale, quo, _strip(rem)
 
 
 def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
@@ -272,20 +231,24 @@ def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals, from the primitive gcd over Z[x]."""
+    """The gcd over Z[x] of the primitive parts of a and b, with a positive
+    leading coefficient: the gcd over the rationals, made primitive.
+
+    >>> poly_gcd(Poly([-2, 0, 2]), Poly([3, -3]))
+    Poly(-1 + x)
+    """
     if a.is_zero() or b.is_zero():
-        # gcd(p, 0) = p, made monic
-        g = list((b if a.is_zero() else a)._ints)
+        # gcd(p, 0) = p, made primitive
+        g = (b if a.is_zero() else a).coeffs
         if not g:
             return P_ZERO
+        g = _primitive(g)[1]
     else:
-        pa, pb = _primitive(a._ints)[1], _primitive(b._ints)[1]
+        pa, pb = _primitive(a.coeffs)[1], _primitive(b.coeffs)[1]
         if len(pa) == 1 or len(pb) == 1:
             return P_ONE
         g = _prs_gcd(pa, pb)
-    lead = g[-1]
-    sign = 1 if lead > 0 else -1
-    return _reduced([sign * c for c in g], abs(lead))
+    return _raw(g if g[-1] > 0 else [-c for c in g])
 
 
 P_ZERO = _raw(())
@@ -294,7 +257,13 @@ P_X = _raw((0, 1))
 
 
 class RatFunc:
-    """Rational function num/den in the canonical form described above."""
+    """Rational function num/den in the canonical form described above.
+
+    >>> RatFunc(Poly([2, 2]), Poly([4, 2]))
+    RatFunc((1 + x)/(2 + x))
+    >>> RatFunc(Poly([1]), Poly([2, 1]))
+    RatFunc(1/(2 + x))
+    """
 
     __slots__ = ("num", "den")
 
@@ -307,26 +276,23 @@ class RatFunc:
             object.__setattr__(self, "num", P_ZERO)
             object.__setattr__(self, "den", P_ONE)
             return
-        # num/den = (cn * den._den) / (cd * num._den) * pn/pd, pn and pd primitive
-        cn, pn = _primitive(num._ints)
-        cd, pd = _primitive(den._ints)
+        # num/den = cn/cd * pn/pd, with pn and pd primitive
+        cn, pn = _primitive(num.coeffs)
+        cd, pd = _primitive(den.coeffs)
         # a nonzero constant has gcd 1 with anything
         if len(pn) > 1 and len(pd) > 1:
             g = _prs_gcd(pn, pd)
             if len(g) > 1:
                 pn = _pdiv(pn, g)[1]
                 pd = _pdiv(pd, g)[1]
-        # scale so that the lowest nonzero denominator coefficient is 1
-        anchor = next(c for c in pd if c)
-        sign = 1 if anchor > 0 else -1
-        p, q = sign * cn * den._den, cd * num._den * abs(anchor)
-        g = gcd(p, q)
-        p, q = p // g, q // g
-        if sign < 0:
-            pd = [-c for c in pd]
-        # pn and pd are primitive and gcd(p, q) = 1, so both are in lowest terms
-        object.__setattr__(self, "num", _raw(pn if p == 1 else [p * c for c in pn], q))
-        object.__setattr__(self, "den", _raw(pd, abs(anchor)))
+        # factors of primitive polynomials are primitive, so the contents are
+        # cn and cd: make them coprime, and the lowest den coefficient positive
+        g = gcd(cn, cd)
+        cn, cd = cn // g, cd // g
+        if next(c for c in pd if c) < 0:
+            cn, cd = -cn, -cd
+        object.__setattr__(self, "num", _raw(pn if cn == 1 else [cn * c for c in pn]))
+        object.__setattr__(self, "den", _raw(pd if cd == 1 else [cd * c for c in pd]))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
@@ -340,7 +306,7 @@ class RatFunc:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, (int, Poly)):
             other = RatFunc(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
@@ -373,8 +339,9 @@ class RatFunc:
     def __mul__(self, other) -> "RatFunc":
         other = as_ratfunc(other)
         for f, c in ((self, other), (other, self)):
-            if len(c.num._ints) <= 1 and len(c.den._ints) == 1:
-                # a constant c: c*num stays coprime to den, and den stays anchored
+            if len(c.num.coeffs) <= 1 and c.den.coeffs == (1,) and f.den.coeffs[0] == 1:
+                # an integer c: den(0) = 1 makes den primitive, so c*num keeps
+                # the contents coprime, and den stays as it is
                 return _canonical(f.num * c.num, f.den) if c else RF_ZERO
         return RatFunc(self.num * other.num, self.den * other.den)
 
@@ -394,16 +361,17 @@ class RatFunc:
     def series(self, order: int) -> "PowerSeries":
         """First order+1 Taylor coefficients at the origin, exactly.
 
-        Solves den * result = num coefficientwise; den(0) != 0 is required,
-        and then it is 1 in canonical form.  The recurrence runs in ints
-        when num and den are integral, and in Fractions otherwise.
+        Solves den * result = num coefficientwise; den(0) != 0 is required.
+        The recurrence runs in ints when den(0) = 1, as it is for every
+        generating function, and in Fractions otherwise.
         """
         if order < 0:
             raise IndexOutOfRange(f"series needs order >= 0, got {order}")
-        num, den = self.num, self.den
-        if den._ints[0] == 0:
+        n, d = self.num.coeffs, self.den.coeffs
+        if d[0] == 0:
             raise PoleAtOrigin(f"{self.render()} has a pole at the origin")
-        n, d = num.coeffs, den.coeffs
+        if d[0] != 1:
+            n, d = ([Fraction(c, d[0]) for c in part] for part in (n, d))
         out: list = []
         top = len(d) - 1
         for k in range(order + 1):
@@ -419,20 +387,19 @@ class RatFunc:
         num_text = self.num.render()
         if self.den == P_ONE:
             return num_text
-        if sum(1 for c in self.num._ints if c) > 1:
+        if sum(1 for c in self.num.coeffs if c) > 1:
             num_text = f"({num_text})"
         return f"{num_text}/({self.den.render()})"
 
     def to_json_dict(self) -> dict:
-        return {
-            "num": [_frac_str(c) for c in self.num.coeffs],
-            "den": [_frac_str(c) for c in self.den.coeffs],
-        }
+        return {"num": [str(c) for c in self.num.coeffs],
+                "den": [str(c) for c in self.den.coeffs]}
 
     @staticmethod
     def from_json_dict(data: dict) -> "RatFunc":
         """Parse what `to_json_dict` writes: `num` and `den` are lists of
-        exact coefficient strings such as "3" or "-1/2", and den is nonzero."""
+        exact coefficient strings, and den is nonzero.  Fractions such as
+        "-1/2" are accepted too, and their denominators are cleared."""
         try:
             parts = data["num"], data["den"]
             if not all(isinstance(part, list) and all(isinstance(c, str) for c in part)
@@ -440,7 +407,9 @@ class RatFunc:
                 raise TypeError("num and den must be lists of strings")
             if not all(_EXACT.fullmatch(c) for part in parts for c in part):
                 raise ValueError("coefficients must be exact integers or fractions")
-            num, den = (Poly([Fraction(c) for c in part]) for part in parts)
+            fracs = [[Fraction(c) for c in part] for part in parts]
+            m = lcm(*(c.denominator for part in fracs for c in part))
+            num, den = (Poly([int(c * m) for c in part]) for part in fracs)
             if den.is_zero():
                 raise ValueError("zero denominator")
         except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
@@ -459,14 +428,10 @@ def _canonical(num: Poly, den: Poly) -> RatFunc:
     return f
 
 
-def _frac_str(c: Coeff) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def as_ratfunc(value) -> RatFunc:
     if isinstance(value, RatFunc):
         return value
-    if isinstance(value, (int, Fraction, Poly)):
+    if isinstance(value, (int, Poly)):
         return RatFunc(value)
     raise TypeError(f"cannot treat {type(value).__name__} as a rational function")
 

@@ -100,12 +100,9 @@ def test_avoid_example_pair():
 
 
 def test_avoid_vs_oracle_battery():
+    # the queries that verify's batteries, held to the census in
+    # test_census_matches_reference_on_verify_queries, do not cover
     battery = [
-        [(2, 3, 1)],
-        [(1, 2, 3, 4)],
-        [(2, 3, 1), (1, 2, 3, 4)],
-        [(2, 3, 4, 1), (3, 2, 4, 1)],
-        [(1, 2, 3, 4), (2, 1, 3, 4)],
         [(4, 2, 1, 3)],
         [(3, 1, 2, 4), (2, 3, 1)],
     ]
@@ -151,20 +148,11 @@ def test_exact_closed_forms():
 
 
 def test_exact_vs_oracle_battery():
+    # as above, only what verify's batteries lack
     battery = [
-        ((), [(1,)]),
-        ((), [(1, 2)]),
-        ((), [(2, 1)]),
-        ((), [(1, 2, 3)]),
         ((), [(2, 1, 3)]),
-        ((), [(2, 3, 1)]),
-        ((), [(3, 2, 1)]),
-        ((), [(3, 1, 2, 4)]),
-        (((2, 1, 3),), [(1, 2, 3)]),
-        (((3, 2, 1),), [(2, 1)]),
         (((2, 3, 1),), [(1, 2)]),
         ((), [(1, 2), (2, 1)]),
-        ((), [(1, 2, 3), (2, 1, 3)]),
     ]
     for avoid, once in battery:
         assert engine_series(avoid, once, 7) == oracle_series(avoid, once, 7), (avoid, once)

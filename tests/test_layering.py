@@ -26,3 +26,31 @@ def test_perms_imports_no_package_module_but_errors():
     # the census is the oracle: it must not reach the engine's block decomposition
     package = {m for m in _imported_modules(SRC / "perms.py") if m.startswith((".", "patgf"))}
     assert package == {".errors"}
+
+
+def _fraction_uses(tree: ast.Module) -> set[str]:
+    """Where the name `Fraction` is used: the qualified name of the enclosing
+    function, or of the module-level assignment, for each use."""
+    places = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Assign) and not scope:
+            scope = ",".join(ast.unparse(t) for t in node.targets)
+        if (isinstance(node, ast.Name) and node.id == "Fraction") or \
+                (isinstance(node, ast.Attribute) and node.attr == "Fraction"):
+            places.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return places
+
+
+def test_fraction_stays_at_the_ratfunc_boundary():
+    # polynomials are over Z: Fraction serves the series of a function with
+    # den(0) != 1 and fractional JSON strings, and nothing else
+    places = _fraction_uses(ast.parse((SRC / "ratfunc.py").read_text(encoding="utf-8")))
+    assert "RatFunc.series" in places
+    assert places <= {"Coeff", "RatFunc.series", "RatFunc.from_json_dict"}, places

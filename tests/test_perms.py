@@ -164,8 +164,11 @@ def test_census_matches_reference_on_verify_queries(monkeypatch):
         return series
 
     monkeypatch.setattr(verify, "census_series", recording)
-    verify.suite_oracle(verify.CensusReader(8, workers=1))
-    verify.suite_recurrence(verify.CensusReader(8, workers=1))
+    checks = verify.suite_oracle(verify.CensusReader(8, workers=1))
+    checks += verify.suite_recurrence(verify.CensusReader(8, workers=1))
+    # every symbolic result equals the census but the paper's k=5 closed sum
+    failed = [check.name for check in checks if not check.passed]
+    assert failed == ["both-once k=5: formula series matches census"]
     distinct = {(query, order): series for query, order, series in calls}
     assert len(distinct) >= 25
     for (query, order), series in distinct.items():

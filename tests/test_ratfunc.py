@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,7 @@ from patgf import (
     PowerSeries,
     RF_ONE,
     RatFunc,
+    as_ratfunc,
     census,
     poly_gcd,
 )
@@ -30,15 +32,15 @@ def test_poly_arith_examples():
     assert Poly([1, -1]) * Poly([1, 1]) == Poly([1, 0, -1])
     p = Poly([3, 0, 2, -1])
     assert p - p == Poly()
-    q = Poly([1, Fraction(-1, 2)])
-    assert p - q == p + (-q) == Poly([2, Fraction(1, 2), 2, -1])
+    q = Poly([1, -3])
+    assert p - q == p + (-q) == Poly([2, 3, 2, -1])
     assert q - p == q + (-p)
     assert Poly([1, -1]) * Poly([1, -2]) == Poly([1, -3, 2])
 
 
 def test_poly_structure():
     assert Poly([0, 0]).is_zero()
-    assert Poly([1, 2, 0]).coeffs == (Fraction(1), Fraction(2))
+    assert Poly([1, 2, 0]).coeffs == (1, 2)
     assert Poly([1, 2]).degree == 1
     assert Poly().degree == -1
 
@@ -46,7 +48,12 @@ def test_poly_structure():
 def test_poly_gcd():
     a = Poly([1, -1]) * Poly([1, 1])
     b = Poly([1, -1]) * Poly([1, -2])
-    assert poly_gcd(a, b) == Poly([-1, 1])  # monic: x - 1
+    assert poly_gcd(a, b) == Poly([-1, 1])  # x - 1
+    # primitive, with a positive leading coefficient, whatever the contents and signs
+    assert poly_gcd(2 * a, -3 * b) == Poly([-1, 1])
+    assert poly_gcd(Poly([2, 2]) * Poly([3, 1]), Poly([2, 2])) == Poly([1, 1])
+    assert poly_gcd(Poly([4, -6]), Poly()) == Poly([-2, 3])
+    assert poly_gcd(Poly(), Poly()) == Poly()
 
 
 def test_rf_examples():
@@ -63,16 +70,20 @@ def test_rf_normalization():
     assert RatFunc(Poly([2, -2]), Poly([2, -4])) == RatFunc(Poly([1, -1]), Poly([1, -2]))
     zero = RatFunc(Poly(), Poly([1, -1]))
     assert zero.num == Poly() and zero.den == Poly([1])
+    # (2 + 2x)/(4 + 2x) = (1 + x)/(2 + x): the contents 2 and 2 share the factor 2
     f = RatFunc(Poly([2, 2]), Poly([4, 2]))
-    assert f.den.coefficient(0) == 1
+    assert (f.num, f.den) == (Poly([1, 1]), Poly([2, 1]))
     assert poly_gcd(f.num, f.den).degree <= 0
+    # the lowest nonzero den coefficient is positive, and the contents stay coprime
+    g = RatFunc(Poly([6, 3]), Poly([-4, 0, 8]))
+    assert (g.num, g.den) == (Poly([-6, -3]), Poly([4, 0, -8]))
 
 
 def test_rf_normalization_at_pole():
-    # den(0) = 0: the lowest nonzero denominator coefficient becomes 1
-    f = RatFunc(Poly([1]), Poly([0, 2]))
-    assert f.den == X
-    assert f.num == Poly([Fraction(1, 2)])
+    # den(0) = 0: the lowest nonzero denominator coefficient is made positive
+    f = RatFunc(Poly([1]), Poly([0, -2]))
+    assert (f.num, f.den) == (Poly([-1]), Poly([0, 2]))
+    assert RatFunc(Poly([0, 3]), Poly([0, 0, 6])) == RatFunc(Poly([1]), Poly([0, 2]))
 
 
 def test_rf_division_by_zero():
@@ -157,6 +168,8 @@ def test_render():
     assert pell.render() == "(1 - x - x^2)/(1 - 2*x - x^2)"
     assert RatFunc(Poly([0, 0, 0, 1]), Poly([1, -4, 4])).render() == "x^3/(1 - 4*x + 4*x^2)"
     assert RatFunc(Poly([1, 1])).render() == "1 + x"
+    # a non-integral function renders in integers
+    assert RatFunc(Poly([1]), Poly([2, 1])).render() == "1/(2 + x)"
 
 
 def test_json_round_trip():
@@ -166,6 +179,7 @@ def test_json_round_trip():
     assert parsed == pell
     assert json.dumps(parsed.to_json_dict()) == blob
     frac = RatFunc(Poly([1]), Poly([2, -1]))
+    assert frac.to_json_dict() == {"num": ["1"], "den": ["2", "-1"]}
     again = RatFunc.from_json_dict(json.loads(json.dumps(frac.to_json_dict())))
     assert again == frac
 
@@ -199,12 +213,50 @@ def test_series_rejects_a_negative_order():
     assert RatFunc(Poly([1]), Poly([1, -1])).series(0).coeffs == (1,)
 
 
-def test_coefficients_are_ints_when_integral():
-    assert all(type(c) is int for c in Poly([1, Fraction(4, 2), -3]).coeffs)
-    half = Poly([1, Fraction(1, 2)])
-    assert half.coeffs == (1, Fraction(1, 2))
-    assert half.coefficient(1) == Fraction(1, 2) and half.coefficient(5) == 0
-    assert hash(half) == hash(Poly([Fraction(1), Fraction(1, 2)]))
+def test_coefficients_are_ints():
+    p = Poly([1, 2, -3, True])
+    assert all(type(c) is int for c in p.coeffs) and p.coeffs == (1, 2, -3, 1)
+    assert p.coefficient(2) == -3 and type(p.coefficient(3)) is int and p.coefficient(5) == 0
+    assert hash(p) == hash((1, 2, -3, 1))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Poly([Fraction(1, 2)]),
+    lambda: Poly([1, Fraction(2)]),  # integral, but still a Fraction
+    lambda: Poly([1.0]),
+    lambda: RatFunc(Fraction(1, 2)),
+    lambda: RatFunc(Poly([1]), Fraction(2)),
+    lambda: as_ratfunc(Fraction(1, 3)),
+    lambda: RF_ONE * Fraction(1, 2),
+])
+def test_fractions_are_rejected(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_integer_constant_product_keeps_the_contents_coprime():
+    # 1/(2 + 4x) is canonical, but its den is not primitive: 2 * it is 1/(1 + 2x)
+    f = RatFunc(Poly([1]), Poly([2, 4]))
+    want = RatFunc(Poly([1]), Poly([1, 2]))
+    for got in (2 * f, f * 2, f * RatFunc(Poly([2])), RatFunc(Poly([2])) * f):
+        assert (got.num, got.den) == (want.num, want.den) and hash(got) == hash(want)
+        assert got.render() == "1/(1 + 2*x)"
+    # a constant with a den of its own: (1/2) * 1/(1 - x) is 1/(2 - 2x)
+    half = RatFunc(Poly([1]), Poly([2]))
+    g = RatFunc(Poly([1]), Poly([1, -1]))
+    for got in (half * g, g * half):
+        assert (got.num, got.den) == (Poly([1]), Poly([2, -2]))
+
+
+def test_json_clears_fractional_strings():
+    f = RatFunc.from_json_dict({"num": ["1/2"], "den": ["1", "1/3"]})
+    assert (f.num, f.den) == (Poly([3]), Poly([6, 2]))
+    assert f.render() == "3/(6 + 2*x)"
+    assert f.to_json_dict() == {"num": ["3"], "den": ["6", "2"]}
+    assert f.series(3).coeffs == (Fraction(1, 2), Fraction(-1, 6), Fraction(1, 18),
+                                  Fraction(-1, 54))
+    assert RatFunc.from_json_dict({"num": ["-4/6", "2"], "den": ["2/3"]}) \
+        == RatFunc(Poly([-1, 3]))
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +358,23 @@ def _ref_render_rf(num, den):
 
 
 def _ref_json(num, den):
-    def s(c):
-        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-    return {"num": [s(c) for c in num], "den": [s(c) for c in den]}
+    return {"num": [str(c) for c in num], "den": [str(c) for c in den]}
+
+
+def _over_z(*parts):
+    """The parts times the one positive rational that makes them integral
+    with joint content 1: the Z[x] form of the reference's Q-canonical
+    (num, den), or of its monic gcd, as int tuples."""
+    m = lcm(*(c.denominator for part in parts for c in part))
+    ints = [[int(c * m) for c in part] for part in parts]
+    g = gcd(*(c for part in ints for c in part)) or 1
+    return tuple(tuple(c // g for c in part) for part in ints)
+
+
+def _int_poly(ref):
+    """The Poly of an integral reference tuple."""
+    assert all(c.denominator == 1 for c in ref)
+    return Poly([int(c) for c in ref])
 
 
 def _exact(values):
@@ -316,12 +382,13 @@ def _exact(values):
 
 
 def _agrees(p, ref):
-    """Same value, exact coefficient types, and equal and hashed alike as a Poly."""
-    return p.coeffs == ref and _exact(p.coeffs) and p == Poly(ref) and hash(p) == hash(ref)
+    """Same value, int coefficients, and equal and hashed alike as a Poly."""
+    ints = tuple(int(c) for c in ref)
+    return (p.coeffs == ints == ref and all(type(c) is int for c in p.coeffs)
+            and p == Poly(ints) and hash(p) == hash(ref))
 
 
-_coeff = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
-_poly = st.lists(_coeff, max_size=6)
+_poly = st.lists(st.integers(-9, 9), max_size=6)
 # an integer factor: its lower coefficients and a nonzero leading one
 _factor = st.tuples(st.lists(st.integers(-4, 4), min_size=1, max_size=6),
                     st.integers(1, 3) | st.integers(-3, -1))
@@ -340,10 +407,10 @@ _WIDE = ([([1, -1, 2, 0, 3], 1)] * 3 + [([2, 1, -1, 1, 0], -2)] * 3
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
-@given(a=_poly, b=_poly, common=st.lists(_factor, max_size=8), half=st.booleans())
-@example(a=[1, -2], b=[3, 0, 1], common=_WIDE, half=False)
-@example(a=[Fraction(1, 2), 1], b=[3, Fraction(-2, 3)], common=_WIDE, half=True)
-def test_ratfunc_matches_the_fraction_reference(a, b, common, half):
+@given(a=_poly, b=_poly, common=st.lists(_factor, max_size=8), content=st.integers(1, 4))
+@example(a=[1, -2], b=[3, 0, 1], common=_WIDE, content=1)
+@example(a=[1, 2], b=[9, -2], common=_WIDE, content=2)
+def test_ratfunc_matches_the_fraction_reference(a, b, common, content):
     ra, rb = _ref(a), _ref(b)
     pa, pb = Poly(a), Poly(b)
     for p, r in ((pa, ra), (pb, rb)):
@@ -353,25 +420,27 @@ def test_ratfunc_matches_the_fraction_reference(a, b, common, half):
     assert _agrees(pa - pb, _ref_add(ra, rb, -1))
     assert _agrees(-pa, _ref_add((), ra, -1))
     assert _agrees(pa * pb, _ref_mul(ra, rb))
-    # a shared factor of high degree, so that the gcd is not trivial
-    shared = _ref_product(common)
-    if half:
-        shared = tuple(c / 2 for c in shared)
+    # a shared factor of high degree, so that the gcd is not trivial, times
+    # an integer content, so that contents are divided out too
+    shared = _ref_mul(_ref_product(common), (Fraction(content),))
     num, den = _ref_mul(shared, ra), _ref_mul(shared, rb)
-    assert _agrees(poly_gcd(Poly(num), Poly(den)), _ref_gcd(num, den))
+    assert _agrees(poly_gcd(_int_poly(num), _int_poly(den)), _over_z(_ref_gcd(num, den))[0])
     if not den:
         return
-    f = RatFunc(Poly(num), Poly(den))
+    f = RatFunc(_int_poly(num), _int_poly(den))
     want = _ref_canonical(num, den)
-    assert _agrees(f.num, want[0]) and _agrees(f.den, want[1])
-    assert f.render() == _ref_render_rf(*want)
-    assert f.to_json_dict() == _ref_json(*want)
+    zn, zd = _over_z(*want)
+    assert _agrees(f.num, zn) and _agrees(f.den, zd)
+    assert f.render() == _ref_render_rf(zn, zd)
+    assert f.to_json_dict() == _ref_json(zn, zd)
     if want[1][0] != 0:
         s = f.series(12)
         assert s.coeffs == _ref_series(*want, 12) and _exact(s.coeffs)
+        if zd[0] == 1:
+            assert all(type(c) is int for c in s.coeffs)
     # g = b / (1 + x*a): nonzero den, so the field operations are defined
     g_num, g_den = rb, _ref_add((Fraction(1),), _ref_mul((0, Fraction(1)), ra))
-    g = RatFunc(pb, Poly(g_den))
+    g = RatFunc(pb, _int_poly(g_den))
     gn, gd = _ref_canonical(g_num, g_den)
     fn, fd = want
     cases = [(f + g, _ref_add(_ref_mul(fn, gd), _ref_mul(gn, fd)), _ref_mul(fd, gd)),
@@ -381,8 +450,13 @@ def test_ratfunc_matches_the_fraction_reference(a, b, common, half):
     for c in (0, b[0] if b else 1):
         cases += [(f * c, _ref_mul(fn, (Fraction(c),)), fd),
                   (c * g, _ref_mul(gn, (Fraction(c),)), gd)]
+    # and a constant with a den of its own
+    q = RatFunc(Poly([content]), Poly([content + 1]))
+    cases += [(f * q, _ref_mul(fn, (Fraction(content, content + 1),)), fd),
+              (q * g, _ref_mul(gn, (Fraction(content, content + 1),)), gd)]
     if gn:
         cases.append((f / g, _ref_mul(fn, gd), _ref_mul(fd, gn)))
     for got, wn, wd in cases:
-        want_n, want_d = _ref_canonical(wn, wd)
+        want_n, want_d = _over_z(*_ref_canonical(wn, wd))
         assert _agrees(got.num, want_n) and _agrees(got.den, want_d)
+        assert got.render() == _ref_render_rf(want_n, want_d)
