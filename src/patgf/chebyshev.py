@@ -31,6 +31,16 @@ two gives D_k = d*q_k - x*n*q_{k-1} (`cf_denominator`), R[k; E] = D_{k-1}/D_k
 and prod_{j=1..k} R[j; E] = d/D_k: each closed form is one quotient of
 polynomials.
 
+The pair (D_k, D_{k-1}) is M*(d, n) with M = [[q_k, -x*q_{k-1}],
+[q_{k-1}, -x*q_{k-2}]], and det M = x*(q_{k-1}^2 - q_k*q_{k-2}) = x^k by
+the Chebyshev identity q_{k-1}^2 - q_k*q_{k-2} = x^{k-1}.  So the adjugate
+of M maps (D_k, D_{k-1}) to x^k*(d, n), and a common factor of D_k and
+D_{k-1} divides x^k, since d and n are coprime.  D_k(0) = d(0)*q_k(0) = d(0),
+so when d(0) != 0 no factor x is shared either: then D_{k-1}/D_k is already
+in lowest terms, and `cf_closed` builds it with no gcd.  When d(0) = 0 it
+takes the full reduction.  The exactly-once catalog form x^k/D_k^2 of the
+engine has d = 1, so D_k(0) = 1 and it needs no gcd either.
+
 Formally, the coefficients of R[k; 0] stabilize to the Catalan numbers as k
 grows (coefficient n is Catalan(n) once k > n); the limit object is realized
 here only as the Catalan sequence itself, never as a surd.
@@ -95,14 +105,19 @@ def cf_iterative(k: int, e) -> RatFunc:
 
 
 def cf_closed(k: int, e) -> RatFunc:
-    """R[k; E] = D_{k-1}/D_k, the reduced Chebyshev closed form (k >= 1)."""
+    """R[k; E] = D_{k-1}/D_k, the reduced Chebyshev closed form (k >= 1);
+    reduced by a gcd only when den(E)(0) = 0 (module docstring)."""
     if k < 1:
         raise IndexOutOfRange(f"closed form requires k >= 1, got {k}")
     e = as_ratfunc(e)
     den = cf_denominator(k, e)
     if den.is_zero():
         raise DegenerateContinuedFraction("closed-form denominator is identically zero")
-    return RatFunc(cf_denominator(k - 1, e), den)
+    num = cf_denominator(k - 1, e)
+    if e.den.coefficient(0):
+        # a common factor divides x^k, and x does not divide D_k (module docstring)
+        return RatFunc.from_coprime(num, den)
+    return RatFunc(num, den)
 
 
 def cf_product_closed(k: int, e) -> RatFunc:

@@ -25,7 +25,7 @@ can sit strictly above a lower suffix inside a 132-avoiding permutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import Not132Avoiding, PreconditionViolated
 from .perms import PATTERN_132, Pattern, contains, flatten
@@ -48,8 +48,7 @@ def rtl_maxima(p: Pattern) -> tuple[int, ...]:
     return tuple(reversed(positions))
 
 
-@dataclass(frozen=True)
-class CanonicalDecomposition:
+class CanonicalDecomposition(NamedTuple):
     """Blocks and maxima of a 132-avoiding pattern, and its flattened cuts."""
 
     pattern: Pattern

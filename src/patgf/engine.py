@@ -64,18 +64,16 @@ battery compares every engine output against brute-force counts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .chebyshev import catalan_poly, cf_closed, cf_denominator, reduced_w
 from .decompose import CanonicalDecomposition, decompose
 from .errors import Not132Avoiding, PreconditionViolated
 from .perms import PATTERN_132, Pattern, canonical_patterns, contains, count_occurrences, is_permutation
-from .ratfunc import P_X, RF_ONE, RF_X, RF_ZERO, Poly, RatFunc
+from .ratfunc import P_ONE, P_X, P_ZERO, RF_ZERO, Poly, RatFunc
 
 
-@dataclass(frozen=True)
-class GfState:
+class GfState(NamedTuple):
     """Canonical recursion key: an (avoid-set, exactly-once-set) pair, each
     a sorted tuple of the ids its query's `PatternAlgebra` gives patterns.
     `PatternAlgebra.make` builds the canonical ones."""
@@ -112,6 +110,7 @@ class PatternAlgebra:
         self.patterns = canonical_patterns(closure)
         self.ids = {t: i for i, t in enumerate(self.patterns)}
         self._decompositions = [closure[t] for t in self.patterns]
+        self._lengths = [len(t) for t in self.patterns]
         self._rows: dict[tuple[int, bool], list] = {}
         self._holds: dict[tuple[int, int], bool] = {}
         self._twice: dict[tuple[int, int], bool] = {}
@@ -173,7 +172,7 @@ class PatternAlgebra:
         return made[key]
 
     def _canonical(self, avoid: tuple[int, ...], exactly_once: tuple[int, ...]) -> GfState | None:
-        holds, twice = self.holds, self.holds_twice
+        holds, twice, lengths = self.holds, self.holds_twice, self._lengths
         avoid_set = set(avoid)
         once_set = set(exactly_once) - {self.EMPTY}
         if self.EMPTY in avoid_set:
@@ -187,7 +186,9 @@ class PatternAlgebra:
                     return None
         keep = []
         for a in avoid_set:
-            redundant = any(a2 != a and holds(a, a2) for a2 in avoid_set)
+            # only a shorter pattern can lie in a
+            size = lengths[a]
+            redundant = any(lengths[a2] < size and holds(a, a2) for a2 in avoid_set)
             if not redundant:
                 redundant = any(twice(a, b) for b in once_set)
             if not redundant:
@@ -316,29 +317,77 @@ def _child_pairs(state: GfState, algebra: PatternAlgebra) -> dict[tuple[GfState,
 def _evaluate(state: GfState, algebra: PatternAlgebra, memo: dict) -> RatFunc:
     """Solve the one linear equation `_child_pairs` gives for a nonempty
     state: F = (leading + x*rest) / (1 - x*S), where S sums the pairs that
-    hold the state on one side.  Every child value has passed the
-    constant-term check below, so it is a power series (den(0) != 0); so
-    is S, and 1 - x*S has constant term 1, so it is never zero.
+    hold the state on one side, and rest the others.
+
+    The sums are taken over one integer denominator and reduced once.  A
+    term's denominators are those of its child values: F.den for a pair
+    that holds the state, L.den and R.den for any other pair.  The terms are
+    grouped by that multiset, and each group's numerators summed.  The
+    common denominator D takes each distinct child denominator to its
+    largest multiplicity in any group, and each group is lifted to it, so
+    with S = Sn/D and rest = Rn/D the result is the one RatFunc
+    (leading*D + x*Rn) / (D - x*Sn), whose gcd runs once per state.
+
+    Every child value has passed the constant-term check below, so its
+    den(0) is 1; so is D(0), and D - x*Sn has constant term 1, so it is
+    never zero.
     """
     if state in memo:
         return memo[state]
 
-    self_coeff = rest = RF_ZERO
+    groups: dict[tuple[Poly, ...], list[Poly]] = {}
     for (left, right), c in _child_pairs(state, algebra).items():
         if state in (left, right):
-            other = right if left == state else left
-            self_coeff = self_coeff + c * _evaluate(other, algebra, memo)
+            other = _evaluate(right if left == state else left, algebra, memo)
+            if other:
+                _add_term(groups, 0, c * other.num, (other.den,))
         else:
             right_val = _evaluate(right, algebra, memo)
-            if not right_val.is_zero():
-                rest = rest + c * _evaluate(left, algebra, memo) * right_val
-    leading = RF_ZERO if state.exactly_once else RF_ONE
-    result = (leading + RF_X * rest) / (RF_ONE - RF_X * self_coeff)
+            if right_val:
+                left_val = _evaluate(left, algebra, memo)
+                if left_val:
+                    _add_term(groups, 1, c * left_val.num * right_val.num,
+                              (left_val.den, right_val.den))
+    common, (s_num, rest) = _over_common_denominator(groups)
+    leading = 0 if state.exactly_once else 1
+    result = RatFunc(common * leading + P_X * rest, common - P_X * s_num)
 
-    expected_c0 = 0 if state.exactly_once else 1
-    assert result.series(0)[0] == expected_c0, f"constant term broken for {algebra.decode(state)}"
+    if (result.num.coefficient(0), result.den.coefficient(0)) != (leading, 1):
+        raise RuntimeError(f"constant term broken for {algebra.decode(state)}: {result.render()}")
     memo[state] = result
     return result
+
+
+def _add_term(groups: dict, side: int, num: Poly, dens: tuple[Poly, ...]) -> None:
+    """Add num over the product of dens to side 0 (S) or 1 (rest) of the
+    group of that multiset of denominators (1 left out)."""
+    key = tuple(sorted((d for d in dens if d.coeffs != (1,)), key=lambda d: d.coeffs))
+    sums = groups.get(key)
+    if sums is None:
+        sums = groups[key] = [P_ZERO, P_ZERO]
+    sums[side] = sums[side] + num
+
+
+def _over_common_denominator(groups: dict) -> tuple[Poly, list[Poly]]:
+    """(D, [S, rest]): D takes each denominator to its largest multiplicity
+    in any group, and each side sums its groups' numerators lifted to D."""
+    largest: dict[Poly, int] = {}
+    for key in groups:
+        for d in key:
+            largest[d] = max(largest.get(d, 0), key.count(d))
+    common = P_ONE
+    for d, m in largest.items():
+        common = common * d ** m
+    sums = [P_ZERO, P_ZERO]
+    for key, parts in groups.items():
+        lift = P_ONE
+        for d, m in largest.items():
+            m -= key.count(d)
+            if m:
+                lift = lift * d ** m
+        for side, num in enumerate(parts):
+            sums[side] = sums[side] + lift * num
+    return common, sums
 
 
 def avoid_set_gf(patterns: Iterable[Pattern]) -> RatFunc:
@@ -402,7 +451,8 @@ def ulk_exact_once_gf(k: int, l: int, t: Pattern | None = None) -> RatFunc:
     if t is not None and tuple(sorted(t[:l])) + tuple(t[l:]) != tuple(range(1, k + 1)):
         raise PreconditionViolated(f"{t} does not fix the increasing tail {l + 1}..{k}")
     den = cf_denominator(k - l, catalan_poly(l))
-    return RatFunc(P_X ** k, den * den)
+    # den(0) = 1, so x^k and den^2 are coprime
+    return RatFunc.from_coprime(P_X ** k, den * den)
 
 
 def u2k_both_once_gf(k: int) -> RatFunc:

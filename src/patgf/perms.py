@@ -29,7 +29,6 @@ semicolon-separated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
 from typing import Iterable, Sequence
@@ -85,30 +84,50 @@ def canonical_patterns(patterns: Iterable[Pattern]) -> tuple[Pattern, ...]:
     return tuple(sorted(set(patterns), key=lambda p: (len(p), p)))
 
 
-@dataclass(frozen=True)
 class PatternQuery:
     """Occurrence constraints: avoid all of A, each of B exactly once, each of
     C at least once.  Every pattern must be a permutation of 1..k (the empty
-    pattern included), and the three sets must be pairwise disjoint."""
+    pattern included), and the three sets must be pairwise disjoint.  Each
+    set is kept in canonical order, and a query is immutable."""
 
-    avoid: tuple[Pattern, ...] = ()
-    exactly_once: tuple[Pattern, ...] = ()
-    at_least_once: tuple[Pattern, ...] = ()
+    __slots__ = ("avoid", "exactly_once", "at_least_once")
 
-    def __post_init__(self):
-        object.__setattr__(self, "avoid", canonical_patterns(self.avoid))
-        object.__setattr__(self, "exactly_once", canonical_patterns(self.exactly_once))
-        object.__setattr__(self, "at_least_once", canonical_patterns(self.at_least_once))
-        sets = [set(self.avoid), set(self.exactly_once), set(self.at_least_once)]
-        for t in self.avoid + self.exactly_once + self.at_least_once:
+    def __init__(self, avoid: Iterable[Pattern] = (), exactly_once: Iterable[Pattern] = (),
+                 at_least_once: Iterable[Pattern] = ()):
+        sets = (canonical_patterns(avoid), canonical_patterns(exactly_once),
+                canonical_patterns(at_least_once))
+        for t in sets[0] + sets[1] + sets[2]:
             if not is_permutation(t):
                 raise PreconditionViolated(f"pattern {t} is not a permutation of 1..{len(t)}")
         for i in range(3):
             for j in range(i + 1, 3):
-                if sets[i] & sets[j]:
+                if set(sets[i]) & set(sets[j]):
                     raise PreconditionViolated(
                         "avoid / exactly-once / at-least-once sets must be disjoint"
                     )
+        for name, patterns in zip(self.__slots__, sets):
+            object.__setattr__(self, name, patterns)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PatternQuery is immutable")
+
+    def _key(self) -> tuple:
+        return self.avoid, self.exactly_once, self.at_least_once
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not PatternQuery:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return ("PatternQuery(avoid={!r}, exactly_once={!r}, at_least_once={!r})"
+                .format(*self._key()))
+
+    def __reduce__(self):
+        return PatternQuery, self._key()
 
 
 def count_occurrences(p: Sequence[int], t: Pattern, cap: int | None = None) -> int:

@@ -6,27 +6,28 @@ arithmetic.  By Fatou's lemma a rational power series with integer
 coefficients is P/Q with P, Q in Z[x] and Q(0) = 1, so every generating
 function here has den(0) = 1.  `fractions.Fraction` appears only in JSON
 input, whose fractional coefficient strings are cleared of denominators,
-and in the series of a rational function with den(0) != 1.
+and in the series of a rational function with den(0) != 1; it is imported
+there, when it is first needed.
 
 Rational functions are kept in a canonical form in which structural
 equality is equality of formal power series at the origin: num and den
 share no factor of positive degree, their contents are coprime, and the
 lowest nonzero denominator coefficient is positive.  The gcd is the
 primitive polynomial remainder sequence over Z[x] (Knuth, TAOCP vol. 2,
-4.6.1; Brown, JACM 18, 1971), divided out exactly.
+4.6.1; Brown, JACM 18, 1971), divided out exactly.  `RatFunc.from_coprime`
+skips it for a pair whose coprimality the caller has proved, and shares
+every other step of the normalisation with `RatFunc(num, den)`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
 
 from .errors import DivisionByZero, IndexOutOfRange, ParseError, PoleAtOrigin
 
-Coeff = Union[int, Fraction]
+Coeff = Union[int, "Fraction"]
 
 
 class Poly:
@@ -285,8 +286,29 @@ class RatFunc:
             if len(g) > 1:
                 pn = _pdiv(pn, g)[1]
                 pd = _pdiv(pd, g)[1]
-        # factors of primitive polynomials are primitive, so the contents are
-        # cn and cd: make them coprime, and the lowest den coefficient positive
+        self._settle(cn, pn, cd, pd)
+
+    @staticmethod
+    def from_coprime(num: Poly, den: Poly) -> "RatFunc":
+        """RatFunc(num, den) without the gcd, for num and den that share no
+        factor of positive degree.  The caller proves that: a common factor
+        left in place would break the canonical form silently, so each call
+        site states its proof.
+
+        >>> RatFunc.from_coprime(Poly([0, 0, 2]), Poly([4, -2]))
+        RatFunc(x^2/(2 - x))
+        """
+        if num.is_zero() or den.is_zero():
+            return RatFunc(num, den)
+        f = object.__new__(RatFunc)
+        f._settle(*_primitive(num.coeffs), *_primitive(den.coeffs))
+        return f
+
+    def _settle(self, cn: int, pn, cd: int, pd) -> None:
+        """Set num/den to (cn*pn)/(cd*pd), for coprime primitive pn and pd.
+        Factors of primitive polynomials are primitive, so the contents are
+        cn and cd: make them coprime, and the lowest den coefficient
+        positive."""
         g = gcd(cn, cd)
         cn, cd = cn // g, cd // g
         if next(c for c in pd if c) < 0:
@@ -371,6 +393,7 @@ class RatFunc:
         if d[0] == 0:
             raise PoleAtOrigin(f"{self.render()} has a pole at the origin")
         if d[0] != 1:
+            from fractions import Fraction
             n, d = ([Fraction(c, d[0]) for c in part] for part in (n, d))
         out: list = []
         top = len(d) - 1
@@ -407,6 +430,7 @@ class RatFunc:
                 raise TypeError("num and den must be lists of strings")
             if not all(_EXACT.fullmatch(c) for part in parts for c in part):
                 raise ValueError("coefficients must be exact integers or fractions")
+            from fractions import Fraction
             fracs = [[Fraction(c) for c in part] for part in parts]
             m = lcm(*(c.denominator for part in fracs for c in part))
             num, den = (Poly([int(c * m) for c in part]) for part in fracs)
@@ -441,11 +465,30 @@ RF_ONE = RatFunc(P_ONE)
 RF_X = RatFunc(P_X)
 
 
-@dataclass(frozen=True)
 class PowerSeries:
     """Explicitly truncated power series: exactly order+1 stored coefficients."""
 
-    coeffs: tuple[Coeff, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Coeff, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PowerSeries is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not PowerSeries:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.coeffs,))
+
+    def __repr__(self):
+        return f"PowerSeries(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return PowerSeries, (self.coeffs,)
 
     @property
     def order(self) -> int:

@@ -10,7 +10,7 @@ for k=5).  The census is authoritative; the recurrence engine agrees with it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chebyshev import catalan_series, cf_closed, cf_iterative, cf_product_closed, reduced_chebyshev
 from .engine import (
@@ -28,8 +28,7 @@ _SEED = 20230917
 SUITE_NAMES = ("algebra", "chebyshev", "catalog", "oracle", "recurrence")
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     status: str  # "pass" | "fail"
     expected: str

@@ -2,8 +2,11 @@
 
 import sys
 from math import comb
+from unittest import mock
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from patgf import (
     DegenerateContinuedFraction,
@@ -12,6 +15,7 @@ from patgf import (
     Poly,
     RF_ONE,
     RatFunc,
+    catalan_poly,
     catalan_series,
     cf_closed,
     cf_denominator,
@@ -19,6 +23,7 @@ from patgf import (
     cf_product_closed,
     reduced_chebyshev,
     reduced_w,
+    ulk_exact_once_gf,
 )
 from patgf.verify import e_battery
 
@@ -81,6 +86,34 @@ def test_cf_closed_matches_iterative():
     for e in battery:
         for k in range(1, 9):
             assert cf_closed(k, e) == cf_iterative(k, e)
+
+
+_small = st.integers(-3, 3)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(k=st.integers(1, 12), num=st.lists(_small, max_size=4),
+       den0=st.sampled_from([1, 0, 2, -1, -3]), den_rest=st.lists(_small, max_size=3))
+@example(k=3, num=[1], den0=0, den_rest=[1])  # E = 1/x: D_2 and D_3 share the factor x
+def test_cf_closed_skips_the_gcd_only_where_coprimality_is_proved(k, num, den0, den_rest):
+    # den(E)(0) = 1, den(E)(0) not in {0, 1}, and den(E)(0) = 0, which must
+    # take the gcd: each held to RatFunc on the full gcd path
+    den = Poly([den0] + den_rest)
+    assume(not den.is_zero())
+    e = RatFunc(Poly(num), den)
+    assume(not cf_denominator(k, e).is_zero())
+    with mock.patch.object(RatFunc, "from_coprime", side_effect=RatFunc.from_coprime) as spy:
+        closed = cf_closed(k, e)
+    assert closed == RatFunc(cf_denominator(k - 1, e), cf_denominator(k, e))
+    assert spy.called == (e.den.coefficient(0) != 0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(k=st.integers(2, 14), l=st.integers(1, 13))
+def test_ulk_exact_once_needs_no_gcd(k, l):
+    assume(l < k)
+    den = cf_denominator(k - l, catalan_poly(l))
+    assert ulk_exact_once_gf(k, l) == RatFunc(P_X ** k, den * den)
 
 
 def test_cf_product_examples():

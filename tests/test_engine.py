@@ -2,6 +2,9 @@
 catalog, each cross-checked against the census oracle."""
 
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,10 +12,14 @@ from hypothesis import strategies as st
 
 from patgf import (
     Not132Avoiding,
+    P_ONE,
+    P_X,
     PatternQuery,
     Poly,
     PreconditionViolated,
     RF_ONE,
+    RF_X,
+    RF_ZERO,
     RatFunc,
     avoid_contain_gf,
     avoid_set_gf,
@@ -30,8 +37,8 @@ from patgf import (
     ulk_exact_once_gf,
     ulk_members,
 )
-from patgf import engine
-from patgf.engine import PatternAlgebra, _cases, _child_pairs
+from patgf import cli, engine
+from patgf.engine import PatternAlgebra, _cases, _child_pairs, _evaluate
 from patgf.perms import canonical_patterns
 
 P132 = (1, 3, 2)
@@ -336,6 +343,79 @@ def test_child_pairs_fold_equals_case_product(avoid, once):
     for state in _reached_states(root, algebra):
         assert _decoded_pairs(_child_pairs(state, algebra), algebra) \
             == _child_pairs_product(*algebra.decode(state)), state
+
+
+def _reference_evaluate(state, algebra, memo):
+    """The per-term solution that `_evaluate` sums over one denominator:
+    every partial sum and product a reduced RatFunc."""
+    if state in memo:
+        return memo[state]
+    self_coeff = rest = RF_ZERO
+    for (left, right), c in _child_pairs(state, algebra).items():
+        if state in (left, right):
+            other = right if left == state else left
+            self_coeff = self_coeff + c * _reference_evaluate(other, algebra, memo)
+        else:
+            right_val = _reference_evaluate(right, algebra, memo)
+            if not right_val.is_zero():
+                rest = rest + c * _reference_evaluate(left, algebra, memo) * right_val
+    leading = RF_ZERO if state.exactly_once else RF_ONE
+    memo[state] = (leading + RF_X * rest) / (RF_ONE - RF_X * self_coeff)
+    return memo[state]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(avoid=query_avoid, once=query_once)
+def test_one_reduction_per_state_equals_the_per_term_reference(avoid, once):
+    # the same canonical value on every state reached from the query
+    root, algebra = _query_root(avoid, once)
+    memo, reference = {}, {}
+    for state in _reached_states(root, algebra):
+        assert _evaluate(state, algebra, memo) \
+            == _reference_evaluate(state, algebra, reference), algebra.decode(state)
+
+
+@pytest.mark.parametrize("value", [
+    RatFunc(P_ONE, P_X),  # a pole at the origin
+    RatFunc(P_ONE, Poly([2, 1])),  # den(0) = 2
+])
+def test_a_broken_child_value_is_an_internal_error(monkeypatch, capsys, value):
+    # once {1} has the one pair ({1}, {1}); a value for {1} that is no
+    # integer series breaks the constant term, and the check says so
+    real = engine._evaluate
+
+    def evaluate(state, algebra, memo):
+        if algebra.decode(state) == (((1,),), ()):
+            return value
+        return real(state, algebra, memo)
+
+    monkeypatch.setattr(engine, "_evaluate", evaluate)
+    with pytest.raises(RuntimeError, match="constant term broken"):
+        avoid_contain_gf([], [(1,)])
+    assert cli.main(["gf", "recurrence", "--exactly-once", "1"]) == cli.EXIT_INTERNAL
+    assert "constant term broken" in capsys.readouterr().err
+
+
+def test_the_constant_term_check_survives_optimisation():
+    # python -O drops assert statements; the check is not one
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "from patgf import P_ONE, P_X, RatFunc, avoid_contain_gf, engine\n"
+        "real = engine._evaluate\n"
+        "def evaluate(state, algebra, memo):\n"
+        "    if algebra.decode(state) == (((1,),), ()):\n"
+        "        return RatFunc(P_ONE, P_X)\n"
+        "    return real(state, algebra, memo)\n"
+        "engine._evaluate = evaluate\n"
+        "try:\n"
+        "    print(avoid_contain_gf([], [(1,)]))\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(src)}, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("constant term broken"), proc.stdout
 
 
 def test_pattern_algebra_is_per_query(monkeypatch):

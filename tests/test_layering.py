@@ -1,6 +1,8 @@
 """Module layering that the code relies on but no other test would notice."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "patgf"
@@ -54,3 +56,13 @@ def test_fraction_stays_at_the_ratfunc_boundary():
     places = _fraction_uses(ast.parse((SRC / "ratfunc.py").read_text(encoding="utf-8")))
     assert "RatFunc.series" in places
     assert places <= {"Coeff", "RatFunc.series", "RatFunc.from_json_dict"}, places
+
+
+def test_import_leaves_out_dataclasses_inspect_and_fractions():
+    # the package and its CLI load only what they use: records are named
+    # tuples or slotted classes, and Fraction is imported where it is needed
+    script = ("import sys, patgf, patgf.cli\n"
+              "print(sorted(m for m in ('dataclasses', 'inspect', 'fractions') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(SRC.parent)}, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -3,6 +3,7 @@
 import concurrent.futures
 import gc
 import itertools
+import pickle
 from math import comb, factorial
 
 import pytest
@@ -104,6 +105,20 @@ def test_census_at_least_once():
     for n in range(6):
         q = PatternQuery(at_least_once=((1, 2),))
         assert census(q, n) == factorial(n) - census(PatternQuery(avoid=((1, 2),)), n)
+
+
+def test_pattern_query_is_an_immutable_value():
+    q = PatternQuery(avoid=[(2, 1), P132], exactly_once=((1,),))
+    assert q.avoid == ((2, 1), P132) and q.at_least_once == ()
+    same = PatternQuery((P132, (2, 1), P132), [(1,)])
+    assert q == same and hash(q) == hash(same) and q != PatternQuery(avoid=q.avoid)
+    assert pickle.loads(pickle.dumps(q)) == q
+    assert repr(q) == ("PatternQuery(avoid=((2, 1), (1, 3, 2)), exactly_once=((1,),), "
+                       "at_least_once=())")
+    with pytest.raises(AttributeError):
+        q.avoid = ()
+    with pytest.raises(PreconditionViolated):
+        PatternQuery(avoid=((1, 2),), at_least_once=((1, 2),))
 
 
 def test_census_base_identity():

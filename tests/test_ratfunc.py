@@ -1,6 +1,7 @@
 """Exact polynomial / rational-function arithmetic and series expansion."""
 
 import json
+import pickle
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -123,6 +124,11 @@ def test_power_series_type():
     assert s[1] == 2
     with pytest.raises(ValueError):
         PowerSeries((Fraction(1, 2),)).as_ints()
+    assert s == PowerSeries((1, 2)) and hash(s) == hash(PowerSeries((1, 2)))
+    assert s != (1, 2) and pickle.loads(pickle.dumps(s)) == s
+    assert repr(PowerSeries((1, 2))) == "PowerSeries(coeffs=(1, 2))"
+    with pytest.raises(AttributeError):
+        s.coeffs = ()
 
 
 def test_series_multiplicative():
