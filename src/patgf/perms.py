@@ -14,12 +14,16 @@ hold each exactly-once pattern at most once, a class closed under deleting
 entries, so a node outside it is pruned with its whole subtree.  A child's
 occurrence counts are its parent's plus the occurrences that use its new last
 entry, and one search per node and pattern finds these for every child at
-once (`_mark_gaps`).  `_embeddings` is the one occurrence search, iterative
-with an explicit stack: the census runs it over each pattern less its last
-entry, and `count_occurrences` and `contains` over the whole pattern.
-Each node is tallied at its own length, so one walk counts every length up
-to n.  `census_reference`, a plain lexicographic walk of S_n checked leaf by
-leaf, is the oracle the tests hold the census to.
+once: each embedding of the pattern less its last entry completes in a run
+of the node's children, which it ORs into an int bitmask over the node's
+gaps, one bit per child (`_gap_masks`).  `_embeddings` is the one occurrence
+search, iterative with an explicit stack: the census runs it over each
+pattern less its last entry, and `count_occurrences` and `contains` over the
+whole pattern.  Each node is tallied at its own length, so one walk counts
+every length up to n.  The nodes of length n, about two thirds of the tree,
+are never built: their parents count them from the masks.
+`census_reference`, a plain lexicographic walk of S_n checked leaf by leaf,
+is the oracle the tests hold the census to.
 
 Text format shared with the CLI: a pattern is a compact digit string ("132")
 when all values are single digits, otherwise comma-separated values
@@ -134,7 +138,8 @@ def count_occurrences(p: Sequence[int], t: Pattern, cap: int | None = None) -> i
     """Number of subsequences of p order-isomorphic to t.
 
     Each occurrence is one embedding of all of t found by `_embeddings`.
-    With `cap`, counting stops as soon as `cap` occurrences are found.
+    With `cap`, counting stops as soon as `cap` occurrences are found, so
+    the result is at most `cap`; a negative cap raises PreconditionViolated.
 
     >>> count_occurrences((2, 1, 3), (1, 2))
     2
@@ -143,10 +148,15 @@ def count_occurrences(p: Sequence[int], t: Pattern, cap: int | None = None) -> i
     >>> count_occurrences((1, 3, 2), ())
     1
     """
+    if cap is None:
+        cap = inf
+    elif cap < 0:
+        raise PreconditionViolated(f"occurrence cap must be non-negative, got {cap}")
+    elif cap == 0:
+        return 0
     k = len(t)
     if k == 0:
         return 1
-    cap = inf if cap is None else cap
     count = 0
     for _ in _embeddings(p, _placement_plan(t), k, inf):
         count += 1
@@ -228,7 +238,7 @@ def _embeddings(p: Sequence[int], plan, depth: int, ceiling):
 # whether (1) or not (0) each at-least-once pattern occurs in p.  `rules`
 # holds the plans of the avoid, exactly-once and at-least-once patterns.
 # Gap g of a node of length m, for g = 0..m, is the child whose new last
-# value is g + 1.
+# value is g + 1, and a set of gaps is an int bitmask with bit g for gap g.
 
 def _counted(node) -> bool:
     """Does the node's permutation meet the query, not only stay in the class?"""
@@ -236,64 +246,106 @@ def _counted(node) -> bool:
     return all(once) and all(seen)
 
 
-def _mark_gaps(p: Sequence[int], plan, marks: list[int], cap: int) -> list[int]:
-    """Add to each marks[g], up to cap (no mark is above it), the
-    occurrences of the planned pattern t in the child at gap g that use its
-    new last entry; return marks.
+def _completions(p: Sequence[int], plan, live: int) -> int:
+    """The mask of the gaps whose child has an occurrence of the planned
+    pattern t that uses its new last entry.
 
     One search walks the embeddings of t less its last entry in p.  The
-    last entry bounds lo and hi of an embedding (0 and len(p) + 1 where it
+    last entry's bounds lo and hi in an embedding (0 and len(p) + 1 where it
     has none) admit every new value j with lo < j - 1/2 < hi: entries of p
     below j stay below it, and those the child raises end above it.  So the
-    embedding completes in the children at gaps lo..hi-1.  The search stops
-    once every gap has reached cap.
+    embedding completes at gaps lo..hi-1, the mask (1 << hi) - (1 << lo).
+    The search stops once the mask holds every gap of `live`; gaps outside
+    `live` may then be missing from it.
     """
     below, above = plan
     k = len(below)
+    if k - 1 > len(p):
+        return 0
     floor_at, ceiling_at = below[k - 1], above[k - 1]
-    left = len(marks) - marks.count(cap)
-    if left:
-        for chosen in _embeddings(p, plan, k - 1, len(p) + 1):
-            for g in range(chosen[floor_at], chosen[ceiling_at]):
-                c = marks[g]
-                if c < cap:
-                    marks[g] = c + 1
-                    left -= c + 1 == cap
-            if not left:
-                break
-    return marks
+    ones = 0
+    for chosen in _embeddings(p, plan, k - 1, len(p) + 1):
+        ones |= (1 << chosen[ceiling_at]) - (1 << chosen[floor_at])
+        if not live & ~ones:
+            break
+    return ones
+
+
+def _completions_twice(p: Sequence[int], plan, live: int) -> tuple[int, int]:
+    """The masks of the gaps whose child has at least one (`ones`) and at
+    least two (`twos`) occurrences of t that use its new last entry, from
+    the search of `_completions`; it stops once `twos` holds all of `live`."""
+    below, above = plan
+    k = len(below)
+    if k - 1 > len(p):
+        return 0, 0
+    floor_at, ceiling_at = below[k - 1], above[k - 1]
+    ones = twos = 0
+    for chosen in _embeddings(p, plan, k - 1, len(p) + 1):
+        mask = (1 << chosen[ceiling_at]) - (1 << chosen[floor_at])
+        twos |= ones & mask
+        ones |= mask
+        if not live & ~twos:
+            break
+    return ones, twos
+
+
+def _gap_masks(node, rules) -> tuple[int, list[int], list[int]]:
+    """The node's children as masks: (live, ones, found).  `live` holds the
+    gaps whose child stays in the class.  At a live gap, the child holds
+    exactly-once pattern i once where bit g of ones[i] is set (else not at
+    all), and at-least-once pattern i where bit g of found[i] is set.  Bits
+    outside `live` mean nothing; once `live` is empty the lists are too."""
+    p, once, seen = node
+    avoid, exactly, atleast = rules
+    full = live = (2 << len(p)) - 1
+    for plan in avoid:
+        live &= ~_completions(p, plan, live)
+        if not live:
+            return 0, [], []
+    ones = []
+    for plan, count in zip(exactly, once):
+        if count:  # a second occurrence leaves the class, as an avoided one does
+            live &= ~_completions(p, plan, live)
+            ones.append(full)
+        else:
+            mask, twos = _completions_twice(p, plan, live)
+            live &= ~twos
+            ones.append(mask)
+        if not live:
+            return 0, [], []
+    found = [full if s else _completions(p, plan, live) for plan, s in zip(atleast, seen)]
+    return live, ones, found
 
 
 def _children(node, rules):
     """The children of a node: p followed by each new last value j that keeps
     the class, the entries of p that are >= j raised by one."""
-    p, once, seen = node
-    avoid, exactly, atleast = rules
-    gaps = len(p) + 1
-    blocked = [0] * gaps
-    for plan in avoid:
-        _mark_gaps(p, plan, blocked, 1)
-    counts = [_mark_gaps(p, plan, [c] * gaps, 2) for plan, c in zip(exactly, once)]
-    found = [_mark_gaps(p, plan, [s] * gaps, 1) for plan, s in zip(atleast, seen)]
-    for g in range(gaps):
-        if blocked[g]:
-            continue
-        child_once = tuple(c[g] for c in counts)
-        if 2 in child_once:
-            continue
-        j = g + 1
-        child = [w + (w >= j) for w in p]
-        child.append(j)
-        yield child, child_once, tuple(f[g] for f in found)
+    p = node[0]
+    live, ones, found = _gap_masks(node, rules)
+    for g in range(len(p) + 1):
+        if live >> g & 1:
+            j = g + 1
+            child = [w + (w >= j) for w in p]
+            child.append(j)
+            yield (child, tuple(mask >> g & 1 for mask in ones),
+                   tuple(mask >> g & 1 for mask in found))
 
 
 def _walk(node, rules, order: int, tally: list[int]) -> None:
-    """Tally the node and every node below it, down to length `order`, at its length."""
+    """Tally the node and every node below it, down to length `order`, at
+    its length.  The nodes of length `order` are counted from their parents'
+    masks and never built."""
     m = len(node[0])
     tally[m] += _counted(node)
-    if m < order:
+    if m + 1 < order:
         for child in _children(node, rules):
             _walk(child, rules, order, tally)
+    elif m < order:
+        live, ones, found = _gap_masks(node, rules)
+        for mask in ones + found:
+            live &= mask
+        tally[order] += live.bit_count()
 
 
 def _walk_task(args) -> list[int]:
@@ -320,12 +372,13 @@ def _tree_series(query: PatternQuery, order: int, workers: int) -> list[int]:
     tally = [0] * (order + 1)
     frontier = [((), (0,) * len(exactly), (0,) * len(atleast))]
     depth = 0
-    while (workers > 1 and depth < order
+    # the frontier stops short of `order`, whose nodes `_walk` never builds
+    while (workers > 1 and depth < order - 1
            and 0 < len(frontier) < _SUBTREES_PER_WORKER * workers):
         tally[depth] += sum(map(_counted, frontier))
         frontier = [child for node in frontier for child in _children(node, rules)]
         depth += 1
-    if workers > 1 and depth < order and frontier:
+    if workers > 1 and len(frontier) >= _SUBTREES_PER_WORKER * workers:
         # imported here: the import costs a serial run about 2.5 MB of memory
         from concurrent.futures import ProcessPoolExecutor
 

@@ -58,7 +58,7 @@ def test_occurrences_against_subset_enumeration(n, k):
         for t in itertools.permutations(range(1, k + 1)):
             want = brute_occurrences(p, t)
             assert count_occurrences(p, t) == want, (p, t)
-            for cap in (1, 2):
+            for cap in (0, 1, 2):
                 assert count_occurrences(p, t, cap=cap) == min(want, cap), (p, t, cap)
 
 
@@ -76,6 +76,11 @@ def test_count_occurrences_cap():
     p = (1, 2, 3, 4, 5)
     assert count_occurrences(p, (1, 2), cap=2) == 2
     assert count_occurrences(p, (1, 2)) == comb(5, 2)
+    for cap in (-1, -5):
+        with pytest.raises(PreconditionViolated):
+            count_occurrences(p, (1, 2), cap=cap)
+        with pytest.raises(PreconditionViolated):
+            count_occurrences(p, (), cap=cap)
 
 
 def test_census_examples():
@@ -149,25 +154,38 @@ def test_census_parallel_matches_serial():
     assert census(q, 6, workers=2) == census(q, 6, workers=1)
 
 
+def _bits(flags):
+    return sum(1 << g for g, flag in enumerate(flags) if flag)
+
+
 def test_gap_marks_match_occurrence_differences():
     # the occurrences of t in a child that use its new last entry are those in
     # the child less those in the rest, which is order-isomorphic to the parent;
-    # one search marks them for every gap, on top of a start mark (the count
-    # the census carries from the parent), capped at cap
+    # one search marks them for every gap as bitmasks, capped at 1 (`ones`)
+    # and at 2 (`twos`), on top of the start count the census carries from
+    # the parent, in each of the three roles of t
     patterns = [t for k in range(1, 5) for t in itertools.permutations(range(1, k + 1))]
-    uncapped = 99
     for m in range(5):
+        full = (1 << (m + 1)) - 1
         for p in itertools.permutations(range(1, m + 1)):
             children = [tuple(w + (w >= j) for w in p) + (j,) for j in range(1, m + 2)]
             for t in patterns:
                 plan = perms._placement_plan(t)
-                want = [brute_occurrences(child, t) - brute_occurrences(p, t)
-                        for child in children]
-                for cap in (uncapped, 1, 2):
-                    for start in range(min(cap, 2)):
-                        marks = perms._mark_gaps(p, plan, [start] * (m + 1), cap)
-                        assert marks == [min(start + w, cap) for w in want], \
-                            (p, t, cap, start)
+                new = [brute_occurrences(child, t) - brute_occurrences(p, t)
+                       for child in children]
+                ones = _bits(w >= 1 for w in new)
+                assert perms._completions(p, plan, full) == ones, (p, t)
+                twos = _bits(w >= 2 for w in new)
+                assert perms._completions_twice(p, plan, full) == (ones, twos), (p, t)
+                live, _, _ = perms._gap_masks((p, (), ()), ((plan,), (), ()))
+                assert live == full & ~ones, (p, t)
+                for start in (0, 1):
+                    live, once, _ = perms._gap_masks((p, (start,), ()), ((), (plan,), ()))
+                    assert live == _bits(start + w <= 1 for w in new), (p, t, start)
+                    if live:
+                        assert once[0] & live == _bits(start + w == 1 for w in new), (p, t, start)
+                    _, _, (found,) = perms._gap_masks((p, (), (start,)), ((), (), (plan,)))
+                    assert found == _bits(start + w >= 1 for w in new), (p, t, start)
 
 
 def test_census_matches_reference_on_verify_queries(monkeypatch):
@@ -201,7 +219,10 @@ def test_census_matches_reference_on_random_queries(roles):
     for t, role in roles:
         sets[role].append(t)
     query = PatternQuery(*map(tuple, sets))
-    assert census_series(query, 6) == [census_reference(query, n) for n in range(7)]
+    want = [census_reference(query, n) for n in range(7)]
+    # every order: 0 tallies the root alone, 1 counts the root's children from masks
+    for order in range(7):
+        assert census_series(query, order) == want[:order + 1], (query, order)
 
 
 _LENGTH_5 = list(itertools.permutations(range(1, 6)))
@@ -221,7 +242,25 @@ def test_census_matches_reference_with_length_5_patterns(roles, t5):
         sets[role5].append(t5)
         query = PatternQuery(*map(tuple, sets))
         want = [census_reference(query, n) for n in range(7)]
-        assert census_series(query, 6) == want, query
+        for order in range(7):
+            assert census_series(query, order) == want[:order + 1], (query, order)
+
+
+def test_census_builds_no_node_of_the_last_length(monkeypatch):
+    # the nodes of length `order` are counted from their parents' gap masks
+    walk, lengths = perms._walk, []
+
+    def recording(node, rules, order, tally):
+        lengths.append(len(node[0]))
+        walk(node, rules, order, tally)
+
+    monkeypatch.setattr(perms, "_walk", recording)
+    query = PatternQuery(avoid=(P132,), exactly_once=((1, 2, 3),), at_least_once=((2, 1),))
+    want = [census_reference(query, n) for n in range(7)]
+    for order in range(7):
+        lengths.clear()
+        assert census_series(query, order) == want[:order + 1]
+        assert lengths and max(lengths) == max(order - 1, 0), order
 
 
 def test_census_and_occurrence_search_leave_no_garbage():
@@ -254,6 +293,38 @@ def test_census_series_parallel_uses_one_pool(monkeypatch):
     q = PatternQuery(avoid=(P132,), exactly_once=((1, 2, 3),), at_least_once=((2, 1),))
     assert census_series(q, 7, workers=2) == census_series(q, 7, workers=1)
     assert len(pools) == 1
+
+
+def test_census_series_pool_counts_the_last_length_from_masks(monkeypatch):
+    # 123 exactly once and 12 at least once have 20 and 24 nodes at length 4,
+    # at least 8 per worker, so the pool's tasks are nodes one short of order
+    # 5 that count their children from masks; 12 exactly once has 4 nodes
+    # there, too few for a pool, and this process counts their children
+    tasks, walked = [], []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, args):
+            args = list(args)
+            tasks.extend(len(node[0]) for node, _, _ in args)
+            return super().map(fn, args)
+
+    walk = perms._walk
+
+    def recording(node, rules, order, tally):
+        walked.append(len(node[0]))
+        walk(node, rules, order, tally)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(perms, "_walk", recording)
+    for query, pooled in ((PatternQuery(exactly_once=((1, 2, 3),)), True),
+                          (PatternQuery(at_least_once=((1, 2),)), True),
+                          (PatternQuery(exactly_once=((1, 2),)), False)):
+        want = census_series(query, 5, workers=1)
+        tasks.clear()
+        walked.clear()
+        assert census_series(query, 5, workers=2) == want, query
+        assert (len(tasks) >= 16 and set(tasks) == {4}) if pooled else not tasks, query
+        assert max(walked, default=0) < 5, query
 
 
 def test_census_rejects_fewer_than_one_worker():
