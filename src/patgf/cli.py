@@ -21,7 +21,8 @@ import traceback
 
 from .engine import avoid_contain_gf, u2k_both_once_gf, ulk_avoid_gf, ulk_exact_once_gf
 from .errors import LengthTooLarge, ParseError, PatgfError
-from .perms import PATTERN_132, PatternQuery, census, census_series, parse_pattern, parse_pattern_set
+from .perms import (MAX_WORKERS, PATTERN_132, PatternQuery, census, census_series, parse_pattern,
+                    parse_pattern_set)
 from .verify import SUITE_NAMES, run_suites
 
 EXIT_OK = 0
@@ -32,8 +33,9 @@ EXIT_ENGINE = 4
 EXIT_INTERNAL = 5
 
 
-def _int_at_least(least: int):
-    """An argparse type: an integer no smaller than `least`."""
+def _int_at_least(least: int, most: int | None = None):
+    """An argparse type: an integer no smaller than `least` (and, given
+    `most`, no larger)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -41,12 +43,14 @@ def _int_at_least(least: int):
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
         if value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
         return value
     return parse
 
 
 _COUNT = _int_at_least(0)
-_WORKERS = _int_at_least(1)
+_WORKERS = _int_at_least(1, MAX_WORKERS)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -13,17 +13,22 @@ one.  The tree holds the permutations that avoid every avoided pattern and
 hold each exactly-once pattern at most once, a class closed under deleting
 entries, so a node outside it is pruned with its whole subtree.  A child's
 occurrence counts are its parent's plus the occurrences that use its new last
-entry, and one search per node and pattern finds these for every child at
-once: each embedding of the pattern less its last entry completes in a run
-of the node's children, which it ORs into an int bitmask over the node's
-gaps, one bit per child (`_gap_masks`).  `_embeddings` is the one occurrence
-search, iterative with an explicit stack: the census runs it over each
-pattern less its last entry, and `count_occurrences` and `contains` over the
-whole pattern.  Each node is tallied at its own length, so one walk counts
-every length up to n.  The nodes of length n, about two thirds of the tree,
-are never built: their parents count them from the masks.
-`census_reference`, a plain lexicographic walk of S_n checked leaf by leaf,
-is the oracle the tests hold the census to.
+entry.  Each node carries, per pattern t, int bitmasks over its gaps, one bit
+per child: the children that gain an occurrence of t (and, for exactly-once
+patterns, two; the avoided patterns share one mask).  Every embedding of t less its last entry completes in a run
+of children, between the values that bound t's last entry, and its mask is
+that run.  A child's masks come from its parent's: the old embeddings'
+runs relabelled, with the bit of the new value copied, and the runs of the
+embeddings that end at the new entry, found by one search with t[-2] pinned
+to that entry (`_children`, `_ending_at_last`).  So no node searches its
+whole permutation, and nothing is computed afresh from p.  `_embeddings` is
+the one occurrence search, iterative with an explicit stack and with fixed
+slots for the floor, the ceiling and a pinned entry: `count_occurrences` and
+`contains` run it over the whole pattern.  Each node is tallied at its own
+length, so one walk counts every length up to n.  The nodes of length n,
+about two thirds of the tree, are never built: their parents count them
+from the masks.  `census_reference`, a plain lexicographic walk of S_n
+checked leaf by leaf, is the oracle the tests hold the census to.
 
 Text format shared with the CLI: a pattern is a compact digit string ("132")
 when all values are single digits, otherwise comma-separated values
@@ -44,6 +49,9 @@ Pattern = tuple[int, ...]
 PATTERN_132: Pattern = (1, 3, 2)
 
 DEFAULT_MAX_N = 10
+
+# The most processes a census may start: a pool starts all its workers at once.
+MAX_WORKERS = 64
 
 
 def is_permutation(word: Sequence[int]) -> bool:
@@ -157,8 +165,10 @@ def count_occurrences(p: Sequence[int], t: Pattern, cap: int | None = None) -> i
     k = len(t)
     if k == 0:
         return 1
+    chosen = [0] * (k + 2)
+    chosen[k + 1] = inf
     count = 0
-    for _ in _embeddings(p, _placement_plan(t), k, inf):
+    for _ in _embeddings(p, len(p), _placement_plan(t), chosen):
         count += 1
         if count >= cap:
             break
@@ -171,27 +181,37 @@ def contains(p: Sequence[int], t: Pattern) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _placement_plan(t: Pattern) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _placement_plan(t: Pattern,
+                    pinned: int | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """How `_embeddings` places t, left to right: for each entry, the index
     of the earlier entry whose value bounds it from below and from above.
     Where no earlier entry does, the index is len(t), the floor (value 0),
-    or len(t) + 1, the ceiling (above every entry of the word searched)."""
+    or len(t) + 1, the ceiling (above every entry of the word searched).
+
+    With `pinned`, the plan places only the entries before t[pinned], whose
+    value is fixed beforehand, and t[pinned] counts as an earlier entry of
+    each of them."""
     k = len(t)
+    fixed = () if pinned is None else (pinned,)
     below, above = [], []
-    for i in range(k):
-        lower = [h for h in range(i) if t[h] < t[i]]
-        upper = [h for h in range(i) if t[h] > t[i]]
+    for i in range(k if pinned is None else pinned):
+        earlier = (*range(i), *fixed)
+        lower = [h for h in earlier if t[h] < t[i]]
+        upper = [h for h in earlier if t[h] > t[i]]
         below.append(max(lower, key=t.__getitem__) if lower else k)
         above.append(min(upper, key=t.__getitem__) if upper else k + 1)
     return tuple(below), tuple(above)
 
 
-def _embeddings(p: Sequence[int], plan, depth: int, ceiling):
-    """Yield once for each embedding in p of the first `depth` entries of the
-    pattern that `plan` (`_placement_plan`) places: the list `chosen`, whose
-    first `depth` items are the values taken, then the floor 0 and
-    `ceiling`, above every entry of p, at indices len(t) and len(t) + 1.
-    The list is reused between yields.
+def _embeddings(p: Sequence[int], n: int, plan, chosen: list):
+    """Yield `chosen` once for each embedding in p[:n] of the entries that
+    `plan` (`_placement_plan`) places, at least one, with their values
+    written into it.
+
+    `chosen` holds one slot per entry of the pattern t, then the floor and
+    the ceiling at indices len(t) and len(t) + 1; the caller fills the
+    fixed slots (the ceiling, above every entry of p[:n], and a pinned
+    entry), and the list is reused between yields.
 
     The search is iterative, with the stack in lists: entry i scans p from
     position q up to `stop`, which leaves room for the entries after it, for
@@ -200,18 +220,13 @@ def _embeddings(p: Sequence[int], plan, depth: int, ceiling):
     The entries of p are positive.
     """
     below, above = plan
-    k = len(below)
-    chosen = [0] * (k + 2)
-    chosen[k + 1] = ceiling
-    if depth == 0:
-        yield chosen
-        return
+    depth = len(below)
     last = depth - 1
     nxt, los, his = [0] * depth, [0] * depth, [0] * depth
     i = q = 0
     lo = los[0] = chosen[below[0]]
     hi = his[0] = chosen[above[0]]
-    stop = len(p) - last
+    stop = n - last
     while True:
         while q < stop:
             w = p[q]
@@ -233,103 +248,125 @@ def _embeddings(p: Sequence[int], plan, depth: int, ceiling):
         stop -= 1
 
 
-# A node of the generating tree is (p, once, seen): a permutation p, the
-# number of occurrences in p of each exactly-once pattern (0 or 1), and
-# whether (1) or not (0) each at-least-once pattern occurs in p.  `rules`
-# holds the plans of the avoid, exactly-once and at-least-once patterns.
-# Gap g of a node of length m, for g = 0..m, is the child whose new last
-# value is g + 1, and a set of gaps is an int bitmask with bit g for gap g.
+# A node of the generating tree is (p, once, seen, marks): a permutation p,
+# the number of occurrences in p of each exactly-once pattern (0 or 1),
+# whether (1) or not (0) each at-least-once pattern occurs in p, and the
+# gap masks of p.  Gap g of a node of length m, for g = 0..m, is the child
+# whose new last value is g + 1, and a set of gaps is an int bitmask with
+# bit g for gap g.  marks = (avoid, ones, twos, found): the gaps whose child
+# has an occurrence ending at its new entry of some avoided pattern (one
+# mask for them all), of at least one and at least two of exactly-once
+# pattern i (ones[i], twos[i]), and of at-least-once pattern i (found[i];
+# every gap once p holds it).  Each mask is exact on every gap.  `rules`
+# holds `_census_rule` of the avoid, exactly-once and at-least-once patterns.
 
-def _counted(node) -> bool:
-    """Does the node's permutation meet the query, not only stay in the class?"""
-    _, once, seen = node
-    return all(once) and all(seen)
+@lru_cache(maxsize=None)
+def _census_rule(t: Pattern):
+    """How the census finds the embeddings of t less its last entry that end
+    at a node's last entry: the plan of t[:-2] with t[-2] pinned to that
+    entry, and the slots that bound t[-1] from below and above.  None for a
+    pattern of length 1, which every new entry completes."""
+    k = len(t)
+    if k == 1:
+        return None
+    below, above = _placement_plan(t)
+    return _placement_plan(t, k - 2), below[k - 1], above[k - 1]
 
 
-def _completions(p: Sequence[int], plan, live: int) -> int:
-    """The mask of the gaps whose child has an occurrence of the planned
-    pattern t that uses its new last entry.
+def _ending_at_last(child: list[int], rule) -> tuple[int, int]:
+    """The new marks of a child: the gaps of `child` that one or more
+    (`ones`) and two or more (`twos`) embeddings of t less its last entry
+    complete, counting only the embeddings that end at the child's last
+    entry, as t[-2].
 
-    One search walks the embeddings of t less its last entry in p.  The
-    last entry's bounds lo and hi in an embedding (0 and len(p) + 1 where it
-    has none) admit every new value j with lo < j - 1/2 < hi: entries of p
-    below j stay below it, and those the child raises end above it.  So the
-    embedding completes at gaps lo..hi-1, the mask (1 << hi) - (1 << lo).
-    The search stops once the mask holds every gap of `live`; gaps outside
-    `live` may then be missing from it.
+    An embedding whose entries bound t[-1] by lo and hi (0 and
+    len(child) + 1 where it has none) completes at gaps lo..hi-1, the mask
+    (1 << hi) - (1 << lo): at gap g the new value g + 1 lies above lo, and
+    hi, raised, ends above it.  The pinned last entry bounds every entry of
+    the search from one side; a pattern of length 2 has only the one
+    embedding, the last entry itself.
     """
-    below, above = plan
-    k = len(below)
-    if k - 1 > len(p):
-        return 0
-    floor_at, ceiling_at = below[k - 1], above[k - 1]
-    ones = 0
-    for chosen in _embeddings(p, plan, k - 1, len(p) + 1):
-        ones |= (1 << chosen[ceiling_at]) - (1 << chosen[floor_at])
-        if not live & ~ones:
-            break
-    return ones
-
-
-def _completions_twice(p: Sequence[int], plan, live: int) -> tuple[int, int]:
-    """The masks of the gaps whose child has at least one (`ones`) and at
-    least two (`twos`) occurrences of t that use its new last entry, from
-    the search of `_completions`; it stops once `twos` holds all of `live`."""
-    below, above = plan
-    k = len(below)
-    if k - 1 > len(p):
+    if rule is None:
         return 0, 0
-    floor_at, ceiling_at = below[k - 1], above[k - 1]
+    plan, lo_at, hi_at = rule
+    depth = len(plan[0])
+    n = len(child) - 1
+    if depth > n:
+        return 0, 0
+    chosen = [0] * (depth + 4)
+    chosen[depth] = child[n]
+    chosen[depth + 3] = n + 2
+    if not depth:
+        return (1 << chosen[hi_at]) - (1 << chosen[lo_at]), 0
     ones = twos = 0
-    for chosen in _embeddings(p, plan, k - 1, len(p) + 1):
-        mask = (1 << chosen[ceiling_at]) - (1 << chosen[floor_at])
+    for chosen in _embeddings(child, n, plan, chosen):
+        mask = (1 << chosen[hi_at]) - (1 << chosen[lo_at])
         twos |= ones & mask
         ones |= mask
-        if not live & ~twos:
-            break
     return ones, twos
 
 
-def _gap_masks(node, rules) -> tuple[int, list[int], list[int]]:
-    """The node's children as masks: (live, ones, found).  `live` holds the
-    gaps whose child stays in the class.  At a live gap, the child holds
-    exactly-once pattern i once where bit g of ones[i] is set (else not at
-    all), and at-least-once pattern i where bit g of found[i] is set.  Bits
-    outside `live` mean nothing; once `live` is empty the lists are too."""
-    p, once, seen = node
-    avoid, exactly, atleast = rules
-    full = live = (2 << len(p)) - 1
-    for plan in avoid:
-        live &= ~_completions(p, plan, live)
-        if not live:
-            return 0, [], []
-    ones = []
-    for plan, count in zip(exactly, once):
+def _counted(node) -> bool:
+    """Does the node's permutation meet the query, not only stay in the class?"""
+    _, once, seen, _ = node
+    return all(once) and all(seen)
+
+
+def _gap_masks(node) -> tuple[int, int]:
+    """(live, hits): the gaps whose child stays in the class, and those whose
+    child meets the query if it does."""
+    p, once, _, (avoid, ones, twos, found) = node
+    hits = (2 << len(p)) - 1
+    live = hits & ~avoid
+    for count, one, two in zip(once, ones, twos):
         if count:  # a second occurrence leaves the class, as an avoided one does
-            live &= ~_completions(p, plan, live)
-            ones.append(full)
+            live &= ~one
         else:
-            mask, twos = _completions_twice(p, plan, live)
-            live &= ~twos
-            ones.append(mask)
-        if not live:
-            return 0, [], []
-    found = [full if s else _completions(p, plan, live) for plan, s in zip(atleast, seen)]
-    return live, ones, found
+            live &= ~two
+            hits &= one
+    for mask in found:
+        hits &= mask
+    return live, hits
 
 
 def _children(node, rules):
     """The children of a node: p followed by each new last value j that keeps
-    the class, the entries of p that are >= j raised by one."""
-    p = node[0]
-    live, ones, found = _gap_masks(node, rules)
+    the class, the entries of p that are >= j raised by one, each with its
+    masks carried from the node's.
+
+    Child j's old embeddings are the node's, relabelled: a mask keeps its
+    bits below j and moves those from j - 1 up by one, so bit j - 1 is
+    copied into bit j.  `_ending_at_last` adds the new ones."""
+    p, once, seen, (avoid, ones, twos, found) = node
+    avoid_rules, once_rules, found_rules = rules
+    live, _ = _gap_masks(node)
+    full = (4 << len(p)) - 1  # every gap of a child
     for g in range(len(p) + 1):
         if live >> g & 1:
             j = g + 1
+            keep = (1 << j) - 1
             child = [w + (w >= j) for w in p]
             child.append(j)
-            yield (child, tuple(mask >> g & 1 for mask in ones),
-                   tuple(mask >> g & 1 for mask in found))
+            child_avoid = avoid & keep | avoid >> g << j
+            for rule in avoid_rules:
+                child_avoid |= _ending_at_last(child, rule)[0]
+            child_ones, child_twos = [], []
+            for one, two, rule in zip(ones, twos, once_rules):
+                new_ones, new_twos = _ending_at_last(child, rule)
+                one = one & keep | one >> g << j
+                child_twos.append(two & keep | two >> g << j | one & new_ones | new_twos)
+                child_ones.append(one | new_ones)
+            child_seen, child_found = [], []
+            for mask, rule in zip(found, found_rules):
+                if mask >> g & 1:
+                    child_seen.append(1)
+                    child_found.append(full)
+                else:
+                    child_seen.append(0)
+                    child_found.append(mask & keep | mask >> g << j
+                                       | _ending_at_last(child, rule)[0])
+            yield (child, tuple([count | one >> g & 1 for count, one in zip(once, ones)]),
+                   tuple(child_seen), (child_avoid, child_ones, child_twos, child_found))
 
 
 def _walk(node, rules, order: int, tally: list[int]) -> None:
@@ -342,10 +379,8 @@ def _walk(node, rules, order: int, tally: list[int]) -> None:
         for child in _children(node, rules):
             _walk(child, rules, order, tally)
     elif m < order:
-        live, ones, found = _gap_masks(node, rules)
-        for mask in ones + found:
-            live &= mask
-        tally[order] += live.bit_count()
+        live, hits = _gap_masks(node)
+        tally[order] += (live & hits).bit_count()
 
 
 def _walk_task(args) -> list[int]:
@@ -360,17 +395,25 @@ def _walk_task(args) -> list[int]:
 _SUBTREES_PER_WORKER = 8
 
 
+def _root(query: PatternQuery):
+    """The root of the generating tree, the empty permutation, and its rules.
+    Its one child completes exactly the patterns of length 1."""
+    # The empty pattern occurs exactly once in everything: vacuous constraint.
+    sets = (query.avoid, tuple(t for t in query.exactly_once if t),
+            tuple(t for t in query.at_least_once if t))
+    rules = tuple(tuple(_census_rule(t) for t in patterns) for patterns in sets)
+    avoid, ones, found = ([int(len(t) == 1) for t in patterns] for patterns in sets)
+    marks = (int(any(avoid)), ones, [0] * len(ones), found)
+    return ((), (0,) * len(ones), (0,) * len(found), marks), rules
+
+
 def _tree_series(query: PatternQuery, order: int, workers: int) -> list[int]:
     """Counts at lengths 0..order from one walk of the generating tree."""
     if any(len(t) == 0 for t in query.avoid):
         return [0] * (order + 1)  # the empty pattern occurs in every permutation
-    # The empty pattern occurs exactly once in everything: vacuous constraint.
-    exactly = tuple(t for t in query.exactly_once if t)
-    atleast = tuple(t for t in query.at_least_once if t)
-    rules = tuple(tuple(_placement_plan(t) for t in patterns)
-                  for patterns in (query.avoid, exactly, atleast))
+    root, rules = _root(query)
     tally = [0] * (order + 1)
-    frontier = [((), (0,) * len(exactly), (0,) * len(atleast))]
+    frontier = [root]
     depth = 0
     # the frontier stops short of `order`, whose nodes `_walk` never builds
     while (workers > 1 and depth < order - 1
@@ -400,7 +443,7 @@ def census(query: PatternQuery, n: int, *, bound: int | None = None,
     generating tree counts every length up to n.  Raises LengthTooLarge past
     the feasibility bound (`bound`, else DEFAULT_MAX_N) so that an infeasible
     run is a deliberate decision, and PreconditionViolated for a negative n
-    or workers < 1.
+    or workers outside 1..MAX_WORKERS.
     """
     return census_series(query, n, bound=bound, workers=workers)[n]
 
@@ -419,8 +462,8 @@ def census_series(query: PatternQuery, order: int, *, bound: int | None = None,
         raise LengthTooLarge(order, limit)
     if order < 0:
         raise PreconditionViolated("census length must be non-negative")
-    if workers < 1:
-        raise PreconditionViolated(f"workers must be at least 1, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise PreconditionViolated(f"workers must be 1..{MAX_WORKERS}, got {workers}")
     return _tree_series(query, order, workers)
 
 

@@ -90,6 +90,22 @@ def test_exit_code_bad_counts(capsys, argv):
     assert (code, out) == (2, "") and "must be at least" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", "10", "--workers", "1000"],
+    ["series", "--avoid", "123", "--order", "4", "--workers", "65"],
+    ["verify", "--suite", "oracle", "--workers", "65"],
+])
+def test_exit_code_too_many_workers(capsys, argv):
+    # refused while parsing, before any census starts a process
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and "must be at most 64" in err
+
+
+def test_most_workers_accepted(capsys):
+    # a frontier of 2 nodes is far below a pool's 8 per worker: no process starts
+    assert run(capsys, "count", "--n", "3", "--workers", "64")[:2] == (0, "6\n")
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["gf", "catalog:u2k-both", "--k", "5", "--l", "3"], "--l"),
     (["gf", "recurrence", "--avoid", "231", "--k", "3", "--t", "12"], "--k"),

@@ -1,6 +1,7 @@
 """Permutation core: occurrences, avoidance, and the census oracle."""
 
 import concurrent.futures
+import functools
 import gc
 import itertools
 import pickle
@@ -17,6 +18,7 @@ from patgf import (
     PreconditionViolated,
     census,
     census_series,
+    contains,
     count_occurrences,
     flatten,
     is_permutation,
@@ -158,34 +160,87 @@ def _bits(flags):
     return sum(1 << g for g, flag in enumerate(flags) if flag)
 
 
+def completions(p, t):
+    """From scratch, the reference for the masks the census carries: the
+    gaps of p whose child has at least one (`ones`) and at least two
+    (`twos`) occurrences of t that use its new last entry.  One search of t
+    less its last entry over all of p; each embedding completes at the gaps
+    between the values that bound t's last entry."""
+    k = len(t)
+    if k == 1:
+        return (2 << len(p)) - 1, 0
+    below, above = perms._placement_plan(t)
+    chosen = [0] * (k + 2)
+    chosen[k + 1] = len(p) + 1
+    ones = twos = 0
+    for chosen in perms._embeddings(p, len(p), (below[:-1], above[:-1]), chosen):
+        mask = (1 << chosen[above[-1]]) - (1 << chosen[below[-1]])
+        twos |= ones & mask
+        ones |= mask
+    return ones, twos
+
+
+def _new_occurrences(p, t):
+    """Brute force: for each gap g of p, the occurrences of t in the child
+    whose new last value is g + 1 that use that entry.  Such an occurrence
+    is a subsequence of p shaped like t less its last entry, with exactly
+    t[-1] - 1 of its values below g + 1/2, where the new entry sits among
+    p's values."""
+    counts = [0] * (len(p) + 1)
+    head = flatten(t[:-1])
+    for values in itertools.combinations(p, len(t) - 1):
+        if flatten(values) == head:
+            for g in range(len(p) + 1):
+                counts[g] += sum(v <= g for v in values) == t[-1] - 1
+    return counts
+
+
+def _node(p, t, role, start, oracle):
+    """The census node of p for the one-pattern query with t in `role` (0
+    avoid, 1 exactly once, 2 at least once) from `start` occurrences (0 or
+    1; avoided patterns have none), its masks from brute force."""
+    new = oracle(p, t)
+    ones, twos = _bits(w >= 1 for w in new), _bits(w >= 2 for w in new)
+    if role == 0:
+        return p, (), (), (ones, [], [], [])
+    if role == 1:
+        return p, (start,), (), (0, [ones], [twos], [])
+    return p, (), (start,), (0, [], [], [(2 << len(p)) - 1 if start else ones])
+
+
 def test_gap_marks_match_occurrence_differences():
     # the occurrences of t in a child that use its new last entry are those in
     # the child less those in the rest, which is order-isomorphic to the parent;
-    # one search marks them for every gap as bitmasks, capped at 1 (`ones`)
-    # and at 2 (`twos`), on top of the start count the census carries from
-    # the parent, in each of the three roles of t
+    # a node's masks (exact, from brute force) give its live gaps and the
+    # gaps whose child meets the query, and step to each child's masks (the
+    # old embeddings relabelled plus those that end at the new entry), held
+    # to brute force on the child: every t in each of the three roles, from
+    # start counts 0 and 1
     patterns = [t for k in range(1, 5) for t in itertools.permutations(range(1, k + 1))]
+    oracle = functools.lru_cache(maxsize=None)(_new_occurrences)
     for m in range(5):
-        full = (1 << (m + 1)) - 1
         for p in itertools.permutations(range(1, m + 1)):
-            children = [tuple(w + (w >= j) for w in p) + (j,) for j in range(1, m + 2)]
             for t in patterns:
-                plan = perms._placement_plan(t)
-                new = [brute_occurrences(child, t) - brute_occurrences(p, t)
-                       for child in children]
-                ones = _bits(w >= 1 for w in new)
-                assert perms._completions(p, plan, full) == ones, (p, t)
-                twos = _bits(w >= 2 for w in new)
-                assert perms._completions_twice(p, plan, full) == (ones, twos), (p, t)
-                live, _, _ = perms._gap_masks((p, (), ()), ((plan,), (), ()))
-                assert live == full & ~ones, (p, t)
-                for start in (0, 1):
-                    live, once, _ = perms._gap_masks((p, (start,), ()), ((), (plan,), ()))
-                    assert live == _bits(start + w <= 1 for w in new), (p, t, start)
-                    if live:
-                        assert once[0] & live == _bits(start + w == 1 for w in new), (p, t, start)
-                    _, _, (found,) = perms._gap_masks((p, (), (start,)), ((), (), (plan,)))
-                    assert found == _bits(start + w >= 1 for w in new), (p, t, start)
+                new = oracle(p, t)
+                for role, start in ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1)):
+                    node = _node(p, t, role, start, oracle)
+                    rules = tuple((perms._census_rule(t),) if r == role else () for r in range(3))
+                    live, hits = perms._gap_masks(node)
+                    if role == 0:
+                        assert live == _bits(w == 0 for w in new), (p, t)
+                    elif role == 1:
+                        assert live == _bits(start + w <= 1 for w in new), (p, t, start)
+                        assert live & hits == _bits(start + w == 1 for w in new), (p, t, start)
+                    else:
+                        assert live == (2 << m) - 1, (p, t, start)
+                        assert hits == _bits(start + w >= 1 for w in new), (p, t, start)
+                    children = list(perms._children(node, rules))
+                    gaps = [g for g in range(m + 1) if live >> g & 1]
+                    assert [child[0] for child in children] == \
+                        [[w + (w > g) for w in p] + [g + 1] for g in gaps], (p, t, role)
+                    for g, child in zip(gaps, children):
+                        want = _node(tuple(child[0]), t, role, min(start + new[g], 1), oracle)
+                        assert child[1:] == want[1:], (p, t, role, start, g)
 
 
 def test_census_matches_reference_on_verify_queries(monkeypatch):
@@ -223,6 +278,79 @@ def test_census_matches_reference_on_random_queries(roles):
     # every order: 0 tallies the root alone, 1 counts the root's children from masks
     for order in range(7):
         assert census_series(query, order) == want[:order + 1], (query, order)
+
+
+def _roles_query(roles):
+    sets = ([], [], [])
+    for t, role in roles:
+        sets[role].append(t)
+    return PatternQuery(*map(tuple, sets))
+
+
+_RANDOM_ROLES = st.lists(st.tuples(st.sampled_from(_SMALL_PATTERNS), st.integers(0, 2)),
+                         max_size=4, unique_by=lambda pair: pair[0])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(_RANDOM_ROLES)
+def test_carried_masks_match_the_search_from_scratch(roles):
+    # every node the walk builds, to length 7, carries exactly the masks that
+    # one search over its whole permutation gives, on every gap
+    query = _roles_query(roles)
+    if any(len(t) == 0 for t in query.avoid):
+        return  # the walk never starts
+    node, rules = perms._root(query)
+    exactly = [t for t in query.exactly_once if t]
+    atleast = [t for t in query.at_least_once if t]
+    stack = [node]
+    while stack:
+        p, once, seen, (avoid, ones, twos, found) = node = stack.pop()
+        dead = 0
+        for t in query.avoid:
+            dead |= completions(p, t)[0]
+        assert avoid == dead, (query, p)
+        assert once == tuple(count_occurrences(p, t) for t in exactly), (query, p)
+        assert list(zip(ones, twos)) == [completions(p, t) for t in exactly], (query, p)
+        assert seen == tuple(int(contains(p, t)) for t in atleast), (query, p)
+        full = (2 << len(p)) - 1
+        assert list(found) == [full if s else completions(p, t)[0]
+                               for s, t in zip(seen, atleast)], (query, p)
+        if len(p) < 7:
+            stack.extend(perms._children(node, rules))
+
+
+def _symmetries(t):
+    """The images of t under the eight symmetries of the square: reverse,
+    complement and inverse, and their products."""
+    k = len(t)
+    inverse = tuple(t.index(v) + 1 for v in range(1, k + 1))
+    return [image for u in (t, inverse)
+            for image in (u, u[::-1], tuple(k + 1 - v for v in u),
+                          tuple(k + 1 - v for v in u[::-1]))]
+
+
+def test_symmetries_are_the_eight_of_the_square():
+    images = _symmetries((2, 4, 1, 3, 5))
+    assert len(set(images)) == 8
+    assert set(_symmetries((1, 3, 2))) == {(1, 3, 2), (2, 3, 1), (3, 1, 2), (2, 1, 3)}
+    for image in images:  # a group: each image has the same eight images
+        assert set(_symmetries(image)) == set(images)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.sampled_from([t for t in _SMALL_PATTERNS if len(t) == 3]),
+       st.lists(st.tuples(st.sampled_from(_SMALL_PATTERNS), st.integers(0, 2)),
+                max_size=3, unique_by=lambda pair: pair[0]))
+def test_census_is_invariant_under_the_symmetries_of_the_square(avoided, roles):
+    # each symmetry moves t[-1], and t[-2], which the census pins to a node's
+    # last entry, into other roles, so the eight walks carry other masks; an
+    # avoided pattern of length 3 keeps the walks to n = 8 small
+    query = _roles_query([(avoided, 0)] + [pair for pair in roles if pair[0] != avoided])
+    sets = (query.avoid, query.exactly_once, query.at_least_once)
+    want = census_series(query, 8)
+    for i in range(1, 8):
+        image = PatternQuery(*([_symmetries(t)[i] for t in patterns] for patterns in sets))
+        assert census_series(image, 8) == want, (query, i)
 
 
 _LENGTH_5 = list(itertools.permutations(range(1, 6)))
@@ -333,6 +461,17 @@ def test_census_rejects_fewer_than_one_worker():
             census(PatternQuery(), 3, workers=workers)
         with pytest.raises(PreconditionViolated):
             census_series(PatternQuery(), 3, workers=workers)
+
+
+def test_census_rejects_more_than_the_most_workers():
+    # refused before the walk; at the cap, a frontier of 2 nodes starts no pool
+    assert perms.MAX_WORKERS == 64
+    for workers in (65, 1000):
+        with pytest.raises(PreconditionViolated):
+            census(PatternQuery(), 3, workers=workers)
+        with pytest.raises(PreconditionViolated):
+            census_series(PatternQuery(), 3, workers=workers)
+    assert census_series(PatternQuery(), 3, workers=64) == [1, 1, 2, 6]
 
 
 def test_census_bound():
