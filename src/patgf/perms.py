@@ -9,26 +9,30 @@ permutations meeting the occurrence constraints, and everything symbolic in
 the other modules is ultimately checked against it.  It walks a generating
 tree (West 1995; Zeilberger 1998) depth first: a node of length m has up to
 m+1 children, one for each new last value j, with the entries >= j raised by
-one.  The tree holds the permutations that avoid every avoided pattern and
-hold each exactly-once pattern at most once, a class closed under deleting
-entries, so a node outside it is pruned with its whole subtree.  A child's
-occurrence counts are its parent's plus the occurrences that use its new last
-entry.  Each node carries, per pattern t, int bitmasks over its gaps, one bit
-per child: the children that gain an occurrence of t (and, for exactly-once
-patterns, two; the avoided patterns share one mask).  Every embedding of t less its last entry completes in a run
-of children, between the values that bound t's last entry, and its mask is
-that run.  A child's masks come from its parent's: the old embeddings'
-runs relabelled, with the bit of the new value copied, and the runs of the
-embeddings that end at the new entry, found by one search with t[-2] pinned
-to that entry (`_children`, `_ending_at_last`).  So no node searches its
-whole permutation, and nothing is computed afresh from p.  `_embeddings` is
-the one occurrence search, iterative with an explicit stack and with fixed
-slots for the floor, the ceiling and a pinned entry: `count_occurrences` and
-`contains` run it over the whole pattern.  Each node is tallied at its own
-length, so one walk counts every length up to n.  The nodes of length n,
-about two thirds of the tree, are never built: their parents count them
-from the masks.  `census_reference`, a plain lexicographic walk of S_n
-checked leaf by leaf, is the oracle the tests hold the census to.
+one.  Every restriction is one constraint, exactly or at least 0 or 1
+occurrences: the avoided patterns together are "exactly 0", each
+exactly-once pattern is "exactly 1", each at-least-once pattern "at least
+1".  The tree holds the permutations that break no exact constraint's upper
+bound, a class closed under deleting entries, so a node outside it is
+pruned with its whole subtree.  A child's occurrence counts are its
+parent's plus the occurrences that use its new last entry.  Each node
+carries, per constraint, int bitmasks over its gaps, one bit per child: the
+children that gain at least one and at least two occurrences of the
+constraint's patterns.  Every embedding of a pattern t less its last entry
+completes in a run of children, between the values that bound t's last
+entry, and its mask is that run.  A child's masks come from its parent's:
+the old embeddings' runs relabelled, with the bit of the new value copied,
+and the runs of the embeddings that end at the new entry, found by one
+search with t[-2] pinned to that entry (`_children`, `_ending_at_last`).
+So no node searches its whole permutation, and nothing is computed afresh
+from p.  `_embeddings` is the one occurrence search, iterative with an
+explicit stack and with fixed slots for the floor, the ceiling and a pinned
+entry: `count_occurrences` and `contains` run it over the whole pattern.
+Each node is tallied at its own length, so one walk counts every length up
+to n.  The nodes of length n, about two thirds of the tree, are never
+built: their parents count them from the masks.  `census_reference`, a
+plain lexicographic walk of S_n checked leaf by leaf, is the oracle the
+tests hold the census to.
 
 Text format shared with the CLI: a pattern is a compact digit string ("132")
 when all values are single digits, otherwise comma-separated values
@@ -248,17 +252,17 @@ def _embeddings(p: Sequence[int], n: int, plan, chosen: list):
         stop -= 1
 
 
-# A node of the generating tree is (p, once, seen, marks): a permutation p,
-# the number of occurrences in p of each exactly-once pattern (0 or 1),
-# whether (1) or not (0) each at-least-once pattern occurs in p, and the
-# gap masks of p.  Gap g of a node of length m, for g = 0..m, is the child
-# whose new last value is g + 1, and a set of gaps is an int bitmask with
-# bit g for gap g.  marks = (avoid, ones, twos, found): the gaps whose child
-# has an occurrence ending at its new entry of some avoided pattern (one
-# mask for them all), of at least one and at least two of exactly-once
-# pattern i (ones[i], twos[i]), and of at-least-once pattern i (found[i];
-# every gap once p holds it).  Each mask is exact on every gap.  `rules`
-# holds `_census_rule` of the avoid, exactly-once and at-least-once patterns.
+# A node of the generating tree is (p, met, ones, twos): a permutation p and,
+# for each constraint of `rules`, whether p meets its lower bound (met, 0 or
+# 1) and two gap masks of p.  Gap g of a node of length m, for g = 0..m, is
+# the child whose new last value is g + 1, and a set of gaps is an int
+# bitmask with bit g for gap g.  ones[i] and twos[i] are the gaps whose
+# child gains at least one and at least two occurrences, ending at its new
+# entry, of the patterns of constraint i, summed over them; each is exact on
+# every gap where the constraint can still fail.  A constraint of `rules` is
+# (exact, `_census_rule` of each of its patterns): the avoided patterns are
+# one, exactly 0 occurrences, and met from the root; each exactly-once
+# pattern is one, exactly 1; each at-least-once pattern is one, at least 1.
 
 @lru_cache(maxsize=None)
 def _census_rule(t: Pattern):
@@ -308,24 +312,21 @@ def _ending_at_last(child: list[int], rule) -> tuple[int, int]:
 
 def _counted(node) -> bool:
     """Does the node's permutation meet the query, not only stay in the class?"""
-    _, once, seen, _ = node
-    return all(once) and all(seen)
+    return all(node[1])
 
 
-def _gap_masks(node) -> tuple[int, int]:
+def _gap_masks(node, rules) -> tuple[int, int]:
     """(live, hits): the gaps whose child stays in the class, and those whose
-    child meets the query if it does."""
-    p, once, _, (avoid, ones, twos, found) = node
-    hits = (2 << len(p)) - 1
-    live = hits & ~avoid
-    for count, one, two in zip(once, ones, twos):
-        if count:  # a second occurrence leaves the class, as an avoided one does
-            live &= ~one
-        else:
-            live &= ~two
+    child meets the query if it does.  An exact constraint that p meets
+    leaves the class with one more occurrence, and one that p does not meet
+    with two more."""
+    p, met, ones, twos = node
+    hits = live = (2 << len(p)) - 1
+    for (exact, _), done, one, two in zip(rules, met, ones, twos):
+        if not done:
             hits &= one
-    for mask in found:
-        hits &= mask
+        if exact:
+            live &= ~(one if done else two)
     return live, hits
 
 
@@ -336,37 +337,30 @@ def _children(node, rules):
 
     Child j's old embeddings are the node's, relabelled: a mask keeps its
     bits below j and moves those from j - 1 up by one, so bit j - 1 is
-    copied into bit j.  `_ending_at_last` adds the new ones."""
-    p, once, seen, (avoid, ones, twos, found) = node
-    avoid_rules, once_rules, found_rules = rules
-    live, _ = _gap_masks(node)
-    full = (4 << len(p)) - 1  # every gap of a child
+    copied into bit j.  `_ending_at_last` adds the new ones, except to an
+    at-least constraint that the child meets, which can no longer fail."""
+    p, met, ones, twos = node
+    live, _ = _gap_masks(node, rules)
     for g in range(len(p) + 1):
         if live >> g & 1:
             j = g + 1
             keep = (1 << j) - 1
             child = [w + (w >= j) for w in p]
             child.append(j)
-            child_avoid = avoid & keep | avoid >> g << j
-            for rule in avoid_rules:
-                child_avoid |= _ending_at_last(child, rule)[0]
-            child_ones, child_twos = [], []
-            for one, two, rule in zip(ones, twos, once_rules):
-                new_ones, new_twos = _ending_at_last(child, rule)
+            child_met, child_ones, child_twos = [], [], []
+            for (exact, patterns), done, one, two in zip(rules, met, ones, twos):
+                done |= one >> g & 1
                 one = one & keep | one >> g << j
-                child_twos.append(two & keep | two >> g << j | one & new_ones | new_twos)
-                child_ones.append(one | new_ones)
-            child_seen, child_found = [], []
-            for mask, rule in zip(found, found_rules):
-                if mask >> g & 1:
-                    child_seen.append(1)
-                    child_found.append(full)
-                else:
-                    child_seen.append(0)
-                    child_found.append(mask & keep | mask >> g << j
-                                       | _ending_at_last(child, rule)[0])
-            yield (child, tuple([count | one >> g & 1 for count, one in zip(once, ones)]),
-                   tuple(child_seen), (child_avoid, child_ones, child_twos, child_found))
+                two = two & keep | two >> g << j
+                if exact or not done:
+                    for rule in patterns:
+                        new_ones, new_twos = _ending_at_last(child, rule)
+                        two |= one & new_ones | new_twos
+                        one |= new_ones
+                child_met.append(done)
+                child_ones.append(one)
+                child_twos.append(two)
+            yield child, child_met, child_ones, child_twos
 
 
 def _walk(node, rules, order: int, tally: list[int]) -> None:
@@ -379,7 +373,7 @@ def _walk(node, rules, order: int, tally: list[int]) -> None:
         for child in _children(node, rules):
             _walk(child, rules, order, tally)
     elif m < order:
-        live, hits = _gap_masks(node)
+        live, hits = _gap_masks(node, rules)
         tally[order] += (live & hits).bit_count()
 
 
@@ -399,12 +393,14 @@ def _root(query: PatternQuery):
     """The root of the generating tree, the empty permutation, and its rules.
     Its one child completes exactly the patterns of length 1."""
     # The empty pattern occurs exactly once in everything: vacuous constraint.
-    sets = (query.avoid, tuple(t for t in query.exactly_once if t),
-            tuple(t for t in query.at_least_once if t))
-    rules = tuple(tuple(_census_rule(t) for t in patterns) for patterns in sets)
-    avoid, ones, found = ([int(len(t) == 1) for t in patterns] for patterns in sets)
-    marks = (int(any(avoid)), ones, [0] * len(ones), found)
-    return ((), (0,) * len(ones), (0,) * len(found), marks), rules
+    constraints = [(1, 1, query.avoid)] if query.avoid else []
+    constraints += [(1, 0, (t,)) for t in query.exactly_once if t]
+    constraints += [(0, 0, (t,)) for t in query.at_least_once if t]
+    rules = tuple((exact, tuple(map(_census_rule, patterns)))
+                  for exact, _, patterns in constraints)
+    met = [met for _, met, _ in constraints]
+    ones = [int(any(len(t) == 1 for t in patterns)) for _, _, patterns in constraints]
+    return ((), met, ones, [0] * len(ones)), rules
 
 
 def _tree_series(query: PatternQuery, order: int, workers: int) -> list[int]:

@@ -360,11 +360,6 @@ class RatFunc:
 
     def __mul__(self, other) -> "RatFunc":
         other = as_ratfunc(other)
-        for f, c in ((self, other), (other, self)):
-            if len(c.num.coeffs) <= 1 and c.den.coeffs == (1,) and f.den.coeffs[0] == 1:
-                # an integer c: den(0) = 1 makes den primitive, so c*num keeps
-                # the contents coprime, and den stays as it is
-                return _canonical(f.num * c.num, f.den) if c else RF_ZERO
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -442,14 +437,6 @@ class RatFunc:
 
 
 _EXACT = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
-def _canonical(num: Poly, den: Poly) -> RatFunc:
-    """The RatFunc num/den, already in canonical form."""
-    f = object.__new__(RatFunc)
-    object.__setattr__(f, "num", num)
-    object.__setattr__(f, "den", den)
-    return f
 
 
 def as_ratfunc(value) -> RatFunc:

@@ -30,9 +30,9 @@ from patgf import (
     avoid_contain_gf,
     avoid_set_gf,
 )
+from patgf.perms import PATTERN_132 as P132
 from patgf.verify import AVOID_BATTERY, EXACT_BATTERY, e_battery, oracle_catalog_cases
 
-P132 = (1, 3, 2)
 RF_X = RatFunc(Poly([0, 1]))
 
 

@@ -84,10 +84,12 @@ def test_exit_code_parse_error(capsys):
     ["table", "--family", "ulk", "--k", "5", "--k-max", "3", "--l", "2"],
     ["count", "--n", "3", "--max-n", "-1"],
     ["series", "--avoid", "123", "--order", "4", "--max-n", "-4"],
+    ["count", "--avoid", "123", "--n", "abc"],
 ])
 def test_exit_code_bad_counts(capsys, argv):
     code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "") and "must be at least" in err
+    reason = "is not an integer" if "abc" in argv else "must be at least"
+    assert (code, out) == (2, "") and reason in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -251,6 +253,8 @@ def test_verify_passing_suites(capsys):
     report = json.loads(out)
     assert report["passed"] is True
     assert all(c["status"] == "pass" for c in report["suites"]["catalog"])
+    code, out, _ = run(capsys, "verify", "--suite", "chebyshev")
+    assert code == 0 and "all checks passed" in out and "[PASS] chebyshev:" in out
 
 
 def test_verify_oracle_reports_known_defect(capsys, tmp_path):
@@ -264,6 +268,17 @@ def test_verify_oracle_reports_known_defect(capsys, tmp_path):
     assert len(failing) == 1
     assert "k=5" in failing[0]["name"]
     assert json.loads(out_file.read_text()) == report
+    # the text report shows the failing check's expected, actual and note lines
+    code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-n", "8")
+    assert code == 1
+    lines = out.splitlines()
+    fail = failing[0]
+    at = lines.index(f"[FAIL] oracle: {fail['name']}")
+    assert lines[at + 1:at + 4] == [f"       expected: {fail['expected']}",
+                                    f"       actual:   {fail['actual']}",
+                                    f"       note: {fail['note']}"]
+    assert [line for line in lines if line.startswith("[FAIL]")] == [lines[at]]
+    assert lines[-1] == "some checks FAILED"
 
 
 def test_verify_text_and_json_agree(capsys):

@@ -12,8 +12,7 @@ from patgf import (
     flatten,
     rtl_maxima,
 )
-
-P132 = (1, 3, 2)
+from patgf.perms import PATTERN_132 as P132
 
 
 def avoiders(n):

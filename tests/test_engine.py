@@ -39,9 +39,9 @@ from patgf import (
 )
 from patgf import cli, engine
 from patgf.engine import PatternAlgebra, _cases, _child_pairs, _evaluate
+from patgf.perms import PATTERN_132 as P132
 from patgf.perms import canonical_patterns
 
-P132 = (1, 3, 2)
 AVOIDERS_TO_5 = [p for n in range(1, 6) for p in itertools.permutations(range(1, n + 1))
                  if not contains(p, P132)]
 AVOIDERS_TO_4 = [p for p in AVOIDERS_TO_5 if len(p) <= 4]

@@ -18,7 +18,6 @@ from patgf import (
     PreconditionViolated,
     census,
     census_series,
-    contains,
     count_occurrences,
     flatten,
     is_permutation,
@@ -27,9 +26,8 @@ from patgf import (
 )
 from patgf import perms, verify
 from patgf.errors import DuplicateEntries
+from patgf.perms import PATTERN_132 as P132
 from patgf.perms import census_reference
-
-P132 = (1, 3, 2)
 
 
 def brute_occurrences(p, t):
@@ -161,23 +159,22 @@ def _bits(flags):
 
 
 def completions(p, t):
-    """From scratch, the reference for the masks the census carries: the
-    gaps of p whose child has at least one (`ones`) and at least two
-    (`twos`) occurrences of t that use its new last entry.  One search of t
-    less its last entry over all of p; each embedding completes at the gaps
-    between the values that bound t's last entry."""
+    """From scratch, the reference for the masks the census carries: for
+    each gap of p, the occurrences of t in its child that use the new last
+    entry.  One search of t less its last entry over all of p; each
+    embedding completes at the gaps between the values that bound t's last
+    entry."""
     k = len(t)
     if k == 1:
-        return (2 << len(p)) - 1, 0
+        return [1] * (len(p) + 1)
     below, above = perms._placement_plan(t)
     chosen = [0] * (k + 2)
     chosen[k + 1] = len(p) + 1
-    ones = twos = 0
+    counts = [0] * (len(p) + 1)
     for chosen in perms._embeddings(p, len(p), (below[:-1], above[:-1]), chosen):
-        mask = (1 << chosen[above[-1]]) - (1 << chosen[below[-1]])
-        twos |= ones & mask
-        ones |= mask
-    return ones, twos
+        for g in range(chosen[below[-1]], chosen[above[-1]]):
+            counts[g] += 1
+    return counts
 
 
 def _new_occurrences(p, t):
@@ -195,17 +192,15 @@ def _new_occurrences(p, t):
     return counts
 
 
-def _node(p, t, role, start, oracle):
-    """The census node of p for the one-pattern query with t in `role` (0
-    avoid, 1 exactly once, 2 at least once) from `start` occurrences (0 or
-    1; avoided patterns have none), its masks from brute force."""
-    new = oracle(p, t)
-    ones, twos = _bits(w >= 1 for w in new), _bits(w >= 2 for w in new)
-    if role == 0:
-        return p, (), (), (ones, [], [], [])
-    if role == 1:
-        return p, (start,), (), (0, [ones], [twos], [])
-    return p, (), (start,), (0, [], [], [(2 << len(p)) - 1 if start else ones])
+# each role as a census constraint: (exact, least), exactly or at least
+# `least` occurrences
+_ROLES = {"avoid": (1, 0), "exactly once": (1, 1), "at least once": (0, 1)}
+
+
+def _node(p, new, least, start):
+    """The census node of p for a one-constraint query, bound `least`, from
+    `start` occurrences, with the new occurrences `new` at each gap."""
+    return p, [int(start >= least)], [_bits(w >= 1 for w in new)], [_bits(w >= 2 for w in new)]
 
 
 def test_gap_marks_match_occurrence_differences():
@@ -214,33 +209,34 @@ def test_gap_marks_match_occurrence_differences():
     # a node's masks (exact, from brute force) give its live gaps and the
     # gaps whose child meets the query, and step to each child's masks (the
     # old embeddings relabelled plus those that end at the new entry), held
-    # to brute force on the child: every t in each of the three roles, from
-    # start counts 0 and 1
+    # to brute force on the child wherever the constraint can still fail:
+    # every t in each of the three roles, from start counts 0 and 1
     patterns = [t for k in range(1, 5) for t in itertools.permutations(range(1, k + 1))]
     oracle = functools.lru_cache(maxsize=None)(_new_occurrences)
     for m in range(5):
         for p in itertools.permutations(range(1, m + 1)):
             for t in patterns:
                 new = oracle(p, t)
-                for role, start in ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1)):
-                    node = _node(p, t, role, start, oracle)
-                    rules = tuple((perms._census_rule(t),) if r == role else () for r in range(3))
-                    live, hits = perms._gap_masks(node)
-                    if role == 0:
-                        assert live == _bits(w == 0 for w in new), (p, t)
-                    elif role == 1:
-                        assert live == _bits(start + w <= 1 for w in new), (p, t, start)
-                        assert live & hits == _bits(start + w == 1 for w in new), (p, t, start)
-                    else:
-                        assert live == (2 << m) - 1, (p, t, start)
-                        assert hits == _bits(start + w >= 1 for w in new), (p, t, start)
+                for role, start in (("avoid", 0), ("exactly once", 0), ("exactly once", 1),
+                                    ("at least once", 0), ("at least once", 1)):
+                    exact, least = _ROLES[role]
+                    node = _node(p, new, least, start)
+                    rules = ((exact, (perms._census_rule(t),)),)
+                    live, hits = perms._gap_masks(node, rules)
+                    # one rule for every role
+                    assert live == _bits(not exact or start + w <= least for w in new), \
+                        (p, t, role, start)
+                    assert hits == _bits(start + w >= least for w in new), (p, t, role, start)
                     children = list(perms._children(node, rules))
                     gaps = [g for g in range(m + 1) if live >> g & 1]
                     assert [child[0] for child in children] == \
                         [[w + (w > g) for w in p] + [g + 1] for g in gaps], (p, t, role)
                     for g, child in zip(gaps, children):
-                        want = _node(tuple(child[0]), t, role, min(start + new[g], 1), oracle)
-                        assert child[1:] == want[1:], (p, t, role, start, g)
+                        count = min(start + new[g], 1)
+                        want = _node(tuple(child[0]), oracle(tuple(child[0]), t), least, count)
+                        assert child[1] == want[1], (p, t, role, start, g)
+                        if exact or count < least:
+                            assert child[2:] == want[2:], (p, t, role, start, g)
 
 
 def test_census_matches_reference_on_verify_queries(monkeypatch):
@@ -295,26 +291,27 @@ _RANDOM_ROLES = st.lists(st.tuples(st.sampled_from(_SMALL_PATTERNS), st.integers
 @given(_RANDOM_ROLES)
 def test_carried_masks_match_the_search_from_scratch(roles):
     # every node the walk builds, to length 7, carries exactly the masks that
-    # one search over its whole permutation gives, on every gap
+    # one search over its whole permutation gives, summed over each
+    # constraint's patterns, on every gap, wherever the constraint can still fail
     query = _roles_query(roles)
     if any(len(t) == 0 for t in query.avoid):
         return  # the walk never starts
     node, rules = perms._root(query)
-    exactly = [t for t in query.exactly_once if t]
-    atleast = [t for t in query.at_least_once if t]
+    constraints = [(1, 0, query.avoid)] if query.avoid else []
+    constraints += [(1, 1, (t,)) for t in query.exactly_once if t]
+    constraints += [(0, 1, (t,)) for t in query.at_least_once if t]
+    assert [exact for exact, _ in rules] == [exact for exact, _, _ in constraints]
     stack = [node]
     while stack:
-        p, once, seen, (avoid, ones, twos, found) = node = stack.pop()
-        dead = 0
-        for t in query.avoid:
-            dead |= completions(p, t)[0]
-        assert avoid == dead, (query, p)
-        assert once == tuple(count_occurrences(p, t) for t in exactly), (query, p)
-        assert list(zip(ones, twos)) == [completions(p, t) for t in exactly], (query, p)
-        assert seen == tuple(int(contains(p, t)) for t in atleast), (query, p)
-        full = (2 << len(p)) - 1
-        assert list(found) == [full if s else completions(p, t)[0]
-                               for s, t in zip(seen, atleast)], (query, p)
+        p, met, ones, twos = node = stack.pop()
+        assert len(met) == len(ones) == len(twos) == len(constraints), (query, p)
+        for i, (exact, least, patterns) in enumerate(constraints):
+            count = sum(count_occurrences(p, t) for t in patterns)
+            assert met[i] == (count >= least) and (not exact or count <= least), (query, p, i)
+            if exact or not met[i]:
+                new = [sum(counts) for counts in zip(*(completions(p, t) for t in patterns))]
+                assert ones[i] == _bits(w >= 1 for w in new), (query, p, i)
+                assert twos[i] == _bits(w >= 2 for w in new), (query, p, i)
         if len(p) < 7:
             stack.extend(perms._children(node, rules))
 

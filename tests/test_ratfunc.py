@@ -24,9 +24,9 @@ from patgf import (
     census,
     poly_gcd,
 )
+from patgf.perms import PATTERN_132 as P132
 
 X = Poly([0, 1])
-P132 = (1, 3, 2)
 
 
 def test_poly_arith_examples():
