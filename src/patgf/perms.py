@@ -24,10 +24,14 @@ entry, and its mask is that run.  A child's masks come from its parent's:
 the old embeddings' runs relabelled, with the bit of the new value copied,
 and the runs of the embeddings that end at the new entry, found by one
 search with t[-2] pinned to that entry (`_children`, `_ending_at_last`).
-So no node searches its whole permutation, and nothing is computed afresh
-from p.  `_embeddings` is the one occurrence search, iterative with an
-explicit stack and with fixed slots for the floor, the ceiling and a pinned
-entry: `count_occurrences` and `contains` run it over the whole pattern.
+That search runs only inside its window: the child at gap g of a node of
+length m has g other entries below its new one and m - g above, so it
+runs only where g is at least the number of entries of t[:-2] below t[-2]
+and m - g at least the number above (`_census_rule`).  So no node
+searches its whole permutation, and nothing is computed afresh from p.
+`_embeddings` is the one occurrence search, iterative with an explicit
+stack and with fixed slots for the floor, the ceiling and a pinned entry:
+`count_occurrences` and `contains` run it over the whole pattern.
 Each node is tallied at its own length, so one walk counts every length up
 to n.  The nodes of length n, about two thirds of the tree, are never
 built: their parents count them from the masks.  `census_reference`, a
@@ -268,13 +272,18 @@ def _embeddings(p: Sequence[int], n: int, plan, chosen: list):
 def _census_rule(t: Pattern):
     """How the census finds the embeddings of t less its last entry that end
     at a node's last entry: the plan of t[:-2] with t[-2] pinned to that
-    entry, and the slots that bound t[-1] from below and above.  None for a
-    pattern of length 1, which every new entry completes."""
+    entry, the slots that bound t[-1] from below and above, and the window
+    of the search, (under, over): the entries of t[:-2] below and above
+    t[-2].  A child at gap g of a node of length m has g other entries below
+    its last and m - g above, so the search can find something only where
+    under <= g <= m - over.  None for a pattern of length 1, which every new
+    entry completes."""
     k = len(t)
     if k == 1:
         return None
     below, above = _placement_plan(t)
-    return _placement_plan(t, k - 2), below[k - 1], above[k - 1]
+    under = sum(v < t[-2] for v in t[:-2])
+    return _placement_plan(t, k - 2), below[k - 1], above[k - 1], under, k - 2 - under
 
 
 def _ending_at_last(child: list[int], rule) -> tuple[int, int]:
@@ -288,15 +297,13 @@ def _ending_at_last(child: list[int], rule) -> tuple[int, int]:
     (1 << hi) - (1 << lo): at gap g the new value g + 1 lies above lo, and
     hi, raised, ends above it.  The pinned last entry bounds every entry of
     the search from one side; a pattern of length 2 has only the one
-    embedding, the last entry itself.
+    embedding, the last entry itself.  `rule` is a `_census_rule`, not
+    None, and the child's gap lies in its window, so the child's other
+    entries can hold t[:-2].
     """
-    if rule is None:
-        return 0, 0
-    plan, lo_at, hi_at = rule
+    plan, lo_at, hi_at, _, _ = rule
     depth = len(plan[0])
     n = len(child) - 1
-    if depth > n:
-        return 0, 0
     chosen = [0] * (depth + 4)
     chosen[depth] = child[n]
     chosen[depth + 3] = n + 2
@@ -338,10 +345,12 @@ def _children(node, rules):
     Child j's old embeddings are the node's, relabelled: a mask keeps its
     bits below j and moves those from j - 1 up by one, so bit j - 1 is
     copied into bit j.  `_ending_at_last` adds the new ones, except to an
-    at-least constraint that the child meets, which can no longer fail."""
+    at-least constraint that the child meets, which can no longer fail, and
+    is called only where the gap lies in the rule's window."""
     p, met, ones, twos = node
+    m = len(p)
     live, _ = _gap_masks(node, rules)
-    for g in range(len(p) + 1):
+    for g in range(m + 1):
         if live >> g & 1:
             j = g + 1
             keep = (1 << j) - 1
@@ -354,9 +363,11 @@ def _children(node, rules):
                 two = two & keep | two >> g << j
                 if exact or not done:
                     for rule in patterns:
-                        new_ones, new_twos = _ending_at_last(child, rule)
-                        two |= one & new_ones | new_twos
-                        one |= new_ones
+                        # the window, under <= g <= m - over (`_census_rule`)
+                        if rule is not None and rule[3] <= g <= m - rule[4]:
+                            new_ones, new_twos = _ending_at_last(child, rule)
+                            two |= one & new_ones | new_twos
+                            one |= new_ones
                 child_met.append(done)
                 child_ones.append(one)
                 child_twos.append(two)

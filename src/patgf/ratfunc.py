@@ -110,14 +110,23 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Poly":
+        """Binary powering: one squaring per bit of e below its top bit, and
+        one product per set bit after the first, so `p ** 1` multiplies
+        nothing."""
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = P_ONE
+        if e == 0:
+            return P_ONE
         base = self
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        result = base
+        e >>= 1
         while e:
+            base = base * base
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
         return result
 

@@ -548,3 +548,23 @@ def test_u2k_engine_matches_oracle():
 def test_engine_matches_census_on_random_queries(avoid, once):
     assume(not set(avoid) & set(once))
     assert engine_series(avoid, once, 7) == oracle_series(avoid, once, 7), (avoid, once)
+
+
+def _inverse(t):
+    return tuple(t.index(v) + 1 for v in range(1, len(t) + 1))
+
+
+_PATTERNS_2_TO_5 = [t for t in AVOIDERS_TO_5 if len(t) >= 2]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(avoid=st.lists(st.sampled_from(_PATTERNS_2_TO_5), max_size=2, unique=True),
+       once=st.lists(st.sampled_from(_PATTERNS_2_TO_5), max_size=2, unique=True))
+def test_engine_is_invariant_under_inverse(avoid, once):
+    # inverse fixes 132 and every occurrence count, but the block
+    # decompositions of t and its inverse differ, so the case table and
+    # the canonical states are exercised on two other paths
+    assume((avoid or once) and not set(avoid) & set(once))
+    want = avoid_contain_gf(avoid, once)
+    assert avoid_contain_gf([_inverse(t) for t in avoid], [_inverse(t) for t in once]) == want, \
+        (avoid, once)

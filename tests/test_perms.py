@@ -316,6 +316,34 @@ def test_carried_masks_match_the_search_from_scratch(roles):
             stack.extend(perms._children(node, rules))
 
 
+@pytest.mark.parametrize("query", [
+    PatternQuery(avoid=[P132, (1, 2, 3, 4, 5)]),
+    PatternQuery(avoid=[P132], exactly_once=[(1, 2, 3, 4)]),
+])
+def test_pinned_search_runs_only_inside_the_window(monkeypatch, query):
+    # a child at gap g of a node of length m has g other entries below its
+    # last and m - g above, so the search of t[:-2] with t[-2] pinned to the
+    # last entry is run only where under <= g <= m - over, the entries of
+    # t[:-2] below and above t[-2]; the series still equal the reference
+    windows = {}
+    for t in query.avoid + query.exactly_once:
+        under = sum(v < t[-2] for v in t[:-2])
+        windows[id(perms._census_rule(t))] = (t, under, len(t) - 2 - under)
+    calls = []
+    search = perms._ending_at_last
+
+    def spy(child, rule):
+        t, under, over = windows[id(rule)]
+        g, m = child[-1] - 1, len(child) - 1
+        calls.append(g)
+        assert under <= g <= m - over, (child, t)
+        return search(child, rule)
+
+    monkeypatch.setattr(perms, "_ending_at_last", spy)
+    assert census_series(query, 8) == [census_reference(query, n) for n in range(9)]
+    assert calls
+
+
 def _symmetries(t):
     """The images of t under the eight symmetries of the square: reverse,
     complement and inverse, and their products."""

@@ -39,6 +39,28 @@ def test_poly_arith_examples():
     assert Poly([1, -1]) * Poly([1, -2]) == Poly([1, -3, 2])
 
 
+def test_poly_power_takes_the_fewest_binary_products(monkeypatch):
+    # floor(log2 e) squarings and popcount(e) - 1 products, so p ** 1 and
+    # p ** 0 multiply nothing; each power equals the repeated product
+    p = Poly([1, -2, 0, 3])
+    powers = [Poly([1])]
+    for _ in range(16):
+        powers.append(powers[-1] * p)
+    calls = []
+    product = Poly.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    for e in range(17):
+        calls.clear()
+        assert p ** e == powers[e], e
+        want = 0 if e == 0 else e.bit_length() - 1 + bin(e).count("1") - 1
+        assert len(calls) == want, e
+
+
 def test_poly_structure():
     assert Poly([0, 0]).is_zero()
     assert Poly([1, 2, 0]).coeffs == (1, 2)
