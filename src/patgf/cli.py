@@ -155,13 +155,14 @@ def _reject_unread(args, reads, user: str) -> None:
             raise ParseError(f"{flag} is not used by {user}")
 
 
-def _catalog_gf(family: str, args, k):
-    """The catalog family's generating function at k, from the flags it reads."""
+def _catalog_gf(family: str, args, k, user: str):
+    """The catalog family's generating function at k, from the flags it reads.
+    A missing flag is an error that names `user`, the source or family given."""
     form, reads = _FAMILIES[family]
     values = {"k": k, "l": args.l, "t": getattr(args, "t", None)}
     for name in reads:
         if values[name] is None and name != "t":
-            raise ParseError(f"--{name} is required for this source")
+            raise ParseError(f"--{name} is required by {user}")
     if values["t"] is not None:
         values["t"] = parse_pattern(values["t"])
     return form(*(values[name] for name in reads))
@@ -176,7 +177,7 @@ def _cmd_gf(args) -> int:
     else:
         family = args.source.removeprefix("catalog:")
         _reject_unread(args, _FAMILIES[family][1], args.source)
-        value = _catalog_gf(family, args, args.k)
+        value = _catalog_gf(family, args, args.k, args.source)
         provenance = "catalog"
     if args.json:
         payload = value.to_json_dict()
@@ -217,10 +218,11 @@ def _cmd_table(args) -> int:
     k_last = args.k_max if args.k_max is not None else args.k
     if k_last < args.k:
         raise ParseError(f"--k-max must be at least --k ({args.k}), got {k_last}")
-    _reject_unread(args, _FAMILIES[args.family][1], f"--family {args.family}")
+    user = f"--family {args.family}"
+    _reject_unread(args, _FAMILIES[args.family][1], user)
     rows = []
     for k in range(args.k, k_last + 1):
-        f = _catalog_gf(args.family, args, k)
+        f = _catalog_gf(args.family, args, k, user)
         params = {"k": k} if args.l is None else {"k": k, "l": args.l}
         coeffs = f.series(args.order).as_ints()
         rows.append({"params": params, "coefficients": [str(c) for c in coeffs]})

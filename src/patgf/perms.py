@@ -12,31 +12,37 @@ m+1 children, one for each new last value j, with the entries >= j raised by
 one.  Every restriction is one constraint, exactly or at least 0 or 1
 occurrences: the avoided patterns together are "exactly 0", each
 exactly-once pattern is "exactly 1", each at-least-once pattern "at least
-1".  The tree holds the permutations that break no exact constraint's upper
-bound, a class closed under deleting entries, so a node outside it is
-pruned with its whole subtree.  A child's occurrence counts are its
-parent's plus the occurrences that use its new last entry.  Each node
-carries, per constraint, int bitmasks over its gaps, one bit per child: the
-children that gain at least one and at least two occurrences of the
-constraint's patterns.  Every embedding of a pattern t less its last entry
-completes in a run of children, between the values that bound t's last
-entry, and its mask is that run.  A child's masks come from its parent's:
+1".  Avoiding a set is avoiding its minimal patterns, so an avoided pattern
+that holds a shorter avoided one is dropped.  The tree holds the
+permutations that break no exact constraint's upper bound, a class closed
+under deleting entries, so a node outside it is pruned with its whole
+subtree.  A child's occurrence counts are its parent's plus the
+occurrences that use its new last entry.  Each node carries, per
+constraint, int bitmasks over its gaps, one bit per child: the children
+that gain at least one and at least two occurrences of the constraint's
+patterns.  Every embedding of a pattern t less its last entry completes in
+a run of children, between the values that bound t's last entry, and its
+mask is that run.  A child's masks come from its parent's:
 the old embeddings' runs relabelled, with the bit of the new value copied,
 and the runs of the embeddings that end at the new entry, found by one
 search with t[-2] pinned to that entry (`_children`, `_ending_at_last`).
 That search runs only inside its window: the child at gap g of a node of
 length m has g other entries below its new one and m - g above, so it
 runs only where g is at least the number of entries of t[:-2] below t[-2]
-and m - g at least the number above (`_census_rule`).  So no node
-searches its whole permutation, and nothing is computed afresh from p.
+and m - g at least the number above (`_census_rule`).  A pattern of length
+3 needs no search at all: the child holds every value on each side of its
+new entry, so its runs are known from the gap alone.  So no node searches
+its whole permutation, and nothing is computed afresh from p.
 `_embeddings` is the one occurrence search, iterative with an explicit
 stack and with fixed slots for the floor, the ceiling and a pinned entry:
 `count_occurrences` and `contains` run it over the whole pattern.
 Each node is tallied at its own length, so one walk counts every length up
-to n.  The nodes of length n, about two thirds of the tree, are never
-built: their parents count them from the masks.  `census_reference`, a
-plain lexicographic walk of S_n checked leaf by leaf, is the oracle the
-tests hold the census to.
+to n.  The loop that builds a child's masks also gives its live gaps, whose
+children stay in the class, and its hit gaps, whose children meet the
+query.  The nodes of length n, about two thirds of the tree, are never
+built: their parents count them from those two masks.
+`census_reference`, a plain lexicographic walk of S_n checked leaf by leaf,
+is the oracle the tests hold the census to.
 
 Text format shared with the CLI: a pattern is a compact digit string ("132")
 when all values are single digits, otherwise comma-separated values
@@ -256,17 +262,20 @@ def _embeddings(p: Sequence[int], n: int, plan, chosen: list):
         stop -= 1
 
 
-# A node of the generating tree is (p, met, ones, twos): a permutation p and,
-# for each constraint of `rules`, whether p meets its lower bound (met, 0 or
-# 1) and two gap masks of p.  Gap g of a node of length m, for g = 0..m, is
-# the child whose new last value is g + 1, and a set of gaps is an int
-# bitmask with bit g for gap g.  ones[i] and twos[i] are the gaps whose
-# child gains at least one and at least two occurrences, ending at its new
-# entry, of the patterns of constraint i, summed over them; each is exact on
-# every gap where the constraint can still fail.  A constraint of `rules` is
-# (exact, `_census_rule` of each of its patterns): the avoided patterns are
-# one, exactly 0 occurrences, and met from the root; each exactly-once
-# pattern is one, exactly 1; each at-least-once pattern is one, at least 1.
+# A node of the generating tree is (p, met, ones, twos, live, hits): a
+# permutation p; for each constraint of `rules`, whether p meets its lower
+# bound (met, 0 or 1) and two gap masks of p; and two gap masks over all
+# constraints.  Gap g of a node of length m, for g = 0..m, is the child
+# whose new last value is g + 1, and a set of gaps is an int bitmask with
+# bit g for gap g.  ones[i] and twos[i] are the gaps whose child gains at
+# least one and at least two occurrences, ending at its new entry, of the
+# patterns of constraint i, summed over them; each is exact on every gap
+# where the constraint can still fail.  live and hits are the gaps whose
+# child stays in the class, and those whose child meets the query if it
+# does.  A constraint of `rules` is (exact, `_census_rule` of each of its
+# patterns): the minimal avoided patterns are one, exactly 0 occurrences,
+# and met from the root; each exactly-once pattern is one, exactly 1; each
+# at-least-once pattern is one, at least 1.
 
 @lru_cache(maxsize=None)
 def _census_rule(t: Pattern):
@@ -297,18 +306,31 @@ def _ending_at_last(child: list[int], rule) -> tuple[int, int]:
     (1 << hi) - (1 << lo): at gap g the new value g + 1 lies above lo, and
     hi, raised, ends above it.  The pinned last entry bounds every entry of
     the search from one side; a pattern of length 2 has only the one
-    embedding, the last entry itself.  `rule` is a `_census_rule`, not
-    None, and the child's gap lies in its window, so the child's other
-    entries can hold t[:-2].
+    embedding, the last entry itself.  A pattern of length 3 needs no
+    search: the child holds every value on each side of its last entry j,
+    1..j-1 below and j+1..n+1 above, so t[0] takes each value on its side.
+    Only one bound of t[-1] can move with t[0], so the runs are nested: the
+    widest is at t[0]'s smallest value, or its largest where t[0] bounds
+    t[-1] from above, and the next widest, which two embeddings complete,
+    one value in.  `rule` is a `_census_rule`, not None, and the child's
+    gap lies in its window, so the child's other entries can hold t[:-2].
     """
-    plan, lo_at, hi_at, _, _ = rule
+    plan, lo_at, hi_at, under, _ = rule
     depth = len(plan[0])
     n = len(child) - 1
     chosen = [0] * (depth + 4)
-    chosen[depth] = child[n]
+    chosen[depth] = j = child[n]
     chosen[depth + 3] = n + 2
     if not depth:
         return (1 << chosen[hi_at]) - (1 << chosen[lo_at]), 0
+    if depth == 1:
+        low, high = (1, j - 1) if under else (j + 1, n + 1)
+        chosen[0], step = (low, 1) if hi_at else (high, -1)
+        ones = (1 << chosen[hi_at]) - (1 << chosen[lo_at])
+        if low == high:
+            return ones, 0
+        chosen[0] += step
+        return ones, (1 << chosen[hi_at]) - (1 << chosen[lo_at])
     ones = twos = 0
     for chosen in _embeddings(child, n, plan, chosen):
         mask = (1 << chosen[hi_at]) - (1 << chosen[lo_at])
@@ -322,34 +344,23 @@ def _counted(node) -> bool:
     return all(node[1])
 
 
-def _gap_masks(node, rules) -> tuple[int, int]:
-    """(live, hits): the gaps whose child stays in the class, and those whose
-    child meets the query if it does.  An exact constraint that p meets
-    leaves the class with one more occurrence, and one that p does not meet
-    with two more."""
-    p, met, ones, twos = node
-    hits = live = (2 << len(p)) - 1
-    for (exact, _), done, one, two in zip(rules, met, ones, twos):
-        if not done:
-            hits &= one
-        if exact:
-            live &= ~(one if done else two)
-    return live, hits
-
-
 def _children(node, rules):
     """The children of a node: p followed by each new last value j that keeps
     the class, the entries of p that are >= j raised by one, each with its
-    masks carried from the node's.
+    masks carried from the node's and its live and hit gaps.
 
     Child j's old embeddings are the node's, relabelled: a mask keeps its
     bits below j and moves those from j - 1 up by one, so bit j - 1 is
     copied into bit j.  `_ending_at_last` adds the new ones, except to an
     at-least constraint that the child meets, which can no longer fail, and
-    is called only where the gap lies in the rule's window."""
-    p, met, ones, twos = node
+    is called only where the gap lies in the rule's window.  The same loop
+    gives the child's live and hit gaps: a constraint the child does not
+    meet needs a new occurrence at each hit gap, and an exact constraint
+    leaves the class with one more occurrence if the child meets it and
+    with two more if not."""
+    p, met, ones, twos, live, _ = node
     m = len(p)
-    live, _ = _gap_masks(node, rules)
+    every = (4 << m) - 1  # the m + 2 gaps of a child
     for g in range(m + 1):
         if live >> g & 1:
             j = g + 1
@@ -357,6 +368,7 @@ def _children(node, rules):
             child = [w + (w >= j) for w in p]
             child.append(j)
             child_met, child_ones, child_twos = [], [], []
+            child_live = child_hits = every
             for (exact, patterns), done, one, two in zip(rules, met, ones, twos):
                 done |= one >> g & 1
                 one = one & keep | one >> g << j
@@ -368,24 +380,27 @@ def _children(node, rules):
                             new_ones, new_twos = _ending_at_last(child, rule)
                             two |= one & new_ones | new_twos
                             one |= new_ones
+                    if not done:
+                        child_hits &= one
+                    if exact:
+                        child_live &= ~(one if done else two)
                 child_met.append(done)
                 child_ones.append(one)
                 child_twos.append(two)
-            yield child, child_met, child_ones, child_twos
+            yield child, child_met, child_ones, child_twos, child_live, child_hits
 
 
 def _walk(node, rules, order: int, tally: list[int]) -> None:
     """Tally the node and every node below it, down to length `order`, at
     its length.  The nodes of length `order` are counted from their parents'
-    masks and never built."""
+    live and hit gaps and never built."""
     m = len(node[0])
     tally[m] += _counted(node)
     if m + 1 < order:
         for child in _children(node, rules):
             _walk(child, rules, order, tally)
     elif m < order:
-        live, hits = _gap_masks(node, rules)
-        tally[order] += (live & hits).bit_count()
+        tally[order] += (node[4] & node[5]).bit_count()
 
 
 def _walk_task(args) -> list[int]:
@@ -402,16 +417,25 @@ _SUBTREES_PER_WORKER = 8
 
 def _root(query: PatternQuery):
     """The root of the generating tree, the empty permutation, and its rules.
-    Its one child completes exactly the patterns of length 1."""
+
+    Avoiding a set is avoiding its minimal patterns, so an avoided pattern
+    that holds a shorter avoided one is dropped.  The root's one child, the
+    permutation 1, completes exactly the patterns of length 1: it stays in
+    the class unless 1 is avoided, and meets the query if no exactly-once or
+    at-least-once pattern is longer."""
+    avoid = tuple(t for t in query.avoid
+                  if not any(len(u) < len(t) and contains(t, u) for u in query.avoid))
     # The empty pattern occurs exactly once in everything: vacuous constraint.
-    constraints = [(1, 1, query.avoid)] if query.avoid else []
+    constraints = [(1, 1, avoid)] if avoid else []
     constraints += [(1, 0, (t,)) for t in query.exactly_once if t]
     constraints += [(0, 0, (t,)) for t in query.at_least_once if t]
     rules = tuple((exact, tuple(map(_census_rule, patterns)))
                   for exact, _, patterns in constraints)
     met = [met for _, met, _ in constraints]
     ones = [int(any(len(t) == 1 for t in patterns)) for _, _, patterns in constraints]
-    return ((), met, ones, [0] * len(ones)), rules
+    live = int((1,) not in avoid)
+    hits = int(all(len(t) <= 1 for t in query.exactly_once + query.at_least_once))
+    return ((), met, ones, [0] * len(ones), live, hits), rules
 
 
 def _tree_series(query: PatternQuery, order: int, workers: int) -> list[int]:

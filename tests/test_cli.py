@@ -200,8 +200,11 @@ def test_gf_examples(capsys):
 
 
 def test_gf_missing_parameter(capsys):
-    code, _, err = run(capsys, "gf", "catalog:ulk", "--k", "4")
-    assert code == 2 and "--l" in err
+    # the message names the caller: a source for gf, a family for table
+    for argv, user in ((["gf", "catalog:ulk", "--k", "4"], "catalog:ulk"),
+                       (["table", "--family", "ulk", "--k", "3"], "--family ulk")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.rstrip().endswith(f"--l is required by {user}")
 
 
 def test_gf_json_round_trip(capsys):

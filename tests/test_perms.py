@@ -25,6 +25,7 @@ from patgf import (
     parse_pattern_set,
 )
 from patgf import perms, verify
+from patgf.engine import ulk_members
 from patgf.errors import DuplicateEntries
 from patgf.perms import PATTERN_132 as P132
 from patgf.perms import census_reference
@@ -197,20 +198,24 @@ def _new_occurrences(p, t):
 _ROLES = {"avoid": (1, 0), "exactly once": (1, 1), "at least once": (0, 1)}
 
 
-def _node(p, new, least, start):
-    """The census node of p for a one-constraint query, bound `least`, from
-    `start` occurrences, with the new occurrences `new` at each gap."""
-    return p, [int(start >= least)], [_bits(w >= 1 for w in new)], [_bits(w >= 2 for w in new)]
+def _node(p, new, exact, least, start):
+    """The census node of p for a one-constraint query, exact or not, bound
+    `least`, from `start` occurrences, with the new occurrences `new` at each
+    gap.  Its live gaps keep an exact constraint's count at most `least`, and
+    its hit gaps bring the count to at least `least`: one rule for every role."""
+    return (p, [int(start >= least)], [_bits(w >= 1 for w in new)], [_bits(w >= 2 for w in new)],
+            _bits(not exact or start + w <= least for w in new),
+            _bits(start + w >= least for w in new))
 
 
 def test_gap_marks_match_occurrence_differences():
     # the occurrences of t in a child that use its new last entry are those in
     # the child less those in the rest, which is order-isomorphic to the parent;
-    # a node's masks (exact, from brute force) give its live gaps and the
-    # gaps whose child meets the query, and step to each child's masks (the
-    # old embeddings relabelled plus those that end at the new entry), held
-    # to brute force on the child wherever the constraint can still fail:
-    # every t in each of the three roles, from start counts 0 and 1
+    # a node (exact, from brute force) steps to each of its live children, whose
+    # masks (the old embeddings relabelled plus those that end at the new
+    # entry) are held to brute force on the child wherever the constraint can
+    # still fail, and whose carried live and hit gaps are held to brute force
+    # on every gap: every t in each of the three roles, from start counts 0 and 1
     patterns = [t for k in range(1, 5) for t in itertools.permutations(range(1, k + 1))]
     oracle = functools.lru_cache(maxsize=None)(_new_occurrences)
     for m in range(5):
@@ -220,23 +225,21 @@ def test_gap_marks_match_occurrence_differences():
                 for role, start in (("avoid", 0), ("exactly once", 0), ("exactly once", 1),
                                     ("at least once", 0), ("at least once", 1)):
                     exact, least = _ROLES[role]
-                    node = _node(p, new, least, start)
+                    node = _node(p, new, exact, least, start)
                     rules = ((exact, (perms._census_rule(t),)),)
-                    live, hits = perms._gap_masks(node, rules)
-                    # one rule for every role
-                    assert live == _bits(not exact or start + w <= least for w in new), \
-                        (p, t, role, start)
-                    assert hits == _bits(start + w >= least for w in new), (p, t, role, start)
+                    live = node[4]
                     children = list(perms._children(node, rules))
                     gaps = [g for g in range(m + 1) if live >> g & 1]
                     assert [child[0] for child in children] == \
                         [[w + (w > g) for w in p] + [g + 1] for g in gaps], (p, t, role)
                     for g, child in zip(gaps, children):
                         count = min(start + new[g], 1)
-                        want = _node(tuple(child[0]), oracle(tuple(child[0]), t), least, count)
+                        want = _node(tuple(child[0]), oracle(tuple(child[0]), t), exact, least,
+                                     count)
                         assert child[1] == want[1], (p, t, role, start, g)
                         if exact or count < least:
-                            assert child[2:] == want[2:], (p, t, role, start, g)
+                            assert child[2:4] == want[2:4], (p, t, role, start, g)
+                        assert child[4:] == want[4:], (p, t, role, start, g)
 
 
 def test_census_matches_reference_on_verify_queries(monkeypatch):
@@ -297,21 +300,34 @@ def test_carried_masks_match_the_search_from_scratch(roles):
     if any(len(t) == 0 for t in query.avoid):
         return  # the walk never starts
     node, rules = perms._root(query)
-    constraints = [(1, 0, query.avoid)] if query.avoid else []
+    # avoiding a set is avoiding its minimal patterns, the ones the census keeps
+    minimal = tuple(t for t in query.avoid
+                    if not any(len(u) < len(t) and brute_occurrences(t, u) for u in query.avoid))
+    constraints = [(1, 0, minimal)] if minimal else []
     constraints += [(1, 1, (t,)) for t in query.exactly_once if t]
     constraints += [(0, 1, (t,)) for t in query.at_least_once if t]
     assert [exact for exact, _ in rules] == [exact for exact, _, _ in constraints]
+    assert [len(patterns) for _, patterns in rules] == [len(ts) for _, _, ts in constraints]
     stack = [node]
     while stack:
-        p, met, ones, twos = node = stack.pop()
+        p, met, ones, twos, live, hits = node = stack.pop()
         assert len(met) == len(ones) == len(twos) == len(constraints), (query, p)
+        want_live = want_hits = (2 << len(p)) - 1
         for i, (exact, least, patterns) in enumerate(constraints):
             count = sum(count_occurrences(p, t) for t in patterns)
             assert met[i] == (count >= least) and (not exact or count <= least), (query, p, i)
+            # a met at-least constraint leaves every gap live and hit
             if exact or not met[i]:
                 new = [sum(counts) for counts in zip(*(completions(p, t) for t in patterns))]
                 assert ones[i] == _bits(w >= 1 for w in new), (query, p, i)
                 assert twos[i] == _bits(w >= 2 for w in new), (query, p, i)
+                want_live &= _bits(not exact or count + w <= least for w in new)
+                want_hits &= _bits(count + w >= least for w in new)
+        assert (live, hits) == (want_live, want_hits), (query, p)
+        if minimal != query.avoid:
+            # the whole avoid set gains an occurrence at the same gaps
+            new = [sum(counts) for counts in zip(*(completions(p, t) for t in query.avoid))]
+            assert ones[0] == _bits(w >= 1 for w in new), (query, p)
         if len(p) < 7:
             stack.extend(perms._children(node, rules))
 
@@ -342,6 +358,72 @@ def test_pinned_search_runs_only_inside_the_window(monkeypatch, query):
     monkeypatch.setattr(perms, "_ending_at_last", spy)
     assert census_series(query, 8) == [census_reference(query, n) for n in range(9)]
     assert calls
+
+
+def _pinned_search(child, t):
+    """From scratch, what `perms._ending_at_last` gives: one search of t less
+    its last entry over all of the child, keeping the embeddings whose t[-2]
+    is the child's last entry; each completes at the gaps between the values
+    that bound t's last entry.  (ones, twos) as gap masks."""
+    k = len(t)
+    below, above = perms._placement_plan(t)
+    chosen = [0] * (k + 2)
+    chosen[k + 1] = len(child) + 1
+    ones = twos = 0
+    for chosen in perms._embeddings(child, len(child), (below[:-1], above[:-1]), chosen):
+        if chosen[k - 2] == child[-1]:
+            mask = (1 << chosen[above[-1]]) - (1 << chosen[below[-1]])
+            twos |= ones & mask
+            ones |= mask
+    return ones, twos
+
+
+def test_length_3_patterns_need_no_search(monkeypatch):
+    # t[0] takes every value on its side of the child's last entry, and the
+    # runs it bounds are nested: the closed form equals the search on every
+    # child of length at most 7 whose gap lies in the window, and runs none
+    children = 0
+    for t in itertools.permutations(range(1, 4)):
+        rule = perms._census_rule(t)
+        want = {}
+        for n in range(1, 8):
+            for child in itertools.permutations(range(1, n + 1)):
+                g, m = child[-1] - 1, n - 1
+                if rule[3] <= g <= m - rule[4]:
+                    want[child] = _pinned_search(child, t)
+        searches = []
+        monkeypatch.setattr(perms, "_embeddings", lambda *args: searches.append(args))
+        for child, masks in want.items():
+            assert perms._ending_at_last(list(child), rule) == masks, (t, child)
+        monkeypatch.undo()
+        assert not searches, t
+        children += len(want)
+    assert children == 30234
+
+
+@pytest.mark.parametrize("avoid", [
+    (P132,) + ulk_members(5, 4),
+    ((1, 2), P132),
+])
+def test_census_keeps_only_the_minimal_avoided_patterns(monkeypatch, avoid):
+    # avoiding a set is avoiding its minimal patterns: no rule of a pattern
+    # that holds a shorter avoided one is ever searched
+    query = PatternQuery(avoid=avoid)
+    redundant = {id(perms._census_rule(t)) for t in avoid
+                 if any(len(u) < len(t) and brute_occurrences(t, u) for u in avoid)}
+    assert redundant
+    rules = []
+    search = perms._ending_at_last
+
+    def spy(child, rule):
+        rules.append(id(rule))
+        return search(child, rule)
+
+    monkeypatch.setattr(perms, "_ending_at_last", spy)
+    want = [census_reference(query, n) for n in range(9)]
+    assert census_series(query, 8) == want
+    assert rules and not redundant.intersection(rules)
+    assert census_series(query, 8, workers=2) == want
 
 
 def _symmetries(t):
