@@ -82,7 +82,7 @@ def decompose(p: Pattern) -> CanonicalDecomposition:
     if not p:
         raise PreconditionViolated("cannot decompose the empty permutation")
     if contains(p, PATTERN_132):
-        raise Not132Avoiding(f"{p} contains 132")
+        raise Not132Avoiding(f"pattern {p} contains 132")
     positions = rtl_maxima(p)
     starts = (0,) + tuple(i + 1 for i in positions[:-1])  # where each block begins
     heads = (flatten(p[:positions[0]]),) + tuple(flatten(p[:i + 1]) for i in positions)

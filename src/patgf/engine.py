@@ -4,7 +4,10 @@ Every query here is implicitly confined to the 132-avoiding class: the
 generating function for an avoid-set A and exactly-once set B counts, by
 length, the permutations that avoid 132 and everything in A while containing
 each pattern of B exactly once.  All patterns supplied must themselves avoid
-132 (their canonical block decomposition drives the recursion).
+132 (their canonical block decomposition drives the recursion).  The query
+is checked once: `perms.PatternQuery` rejects a pattern that is not a
+permutation and overlapping sets, and `decompose` rejects a pattern that
+holds 132 when the query's `PatternAlgebra` decomposes it.
 
 The recursion is the block decomposition of a nonempty 132-avoiding
 permutation p around its largest entry n: p = (p', n, p'') where every value
@@ -68,8 +71,8 @@ from typing import Iterable, NamedTuple
 
 from .chebyshev import catalan_poly, cf_closed, cf_denominator, reduced_w
 from .decompose import CanonicalDecomposition, decompose
-from .errors import Not132Avoiding, PreconditionViolated
-from .perms import PATTERN_132, Pattern, canonical_patterns, contains, count_occurrences, is_permutation
+from .errors import PreconditionViolated
+from .perms import Pattern, PatternQuery, canonical_patterns, contains, count_occurrences
 from .ratfunc import P_ONE, P_X, P_ZERO, RF_ZERO, Poly, RatFunc
 
 
@@ -101,7 +104,7 @@ class PatternAlgebra:
 
     def __init__(self, patterns: Iterable[Pattern]):
         closure: dict[Pattern, CanonicalDecomposition | None] = {(): None}
-        todo = list(patterns)
+        todo = list(patterns)[::-1]  # so the first that holds 132 is named
         while todo:
             t = todo.pop()
             if t not in closure:
@@ -164,7 +167,9 @@ class PatternAlgebra:
         pattern; an avoided pattern holding two or more copies of an
         exactly-once pattern (its presence would already break that
         constraint); the empty pattern on the exactly-once side (it occurs
-        exactly once in everything).
+        exactly once in everything).  The avoided patterns kept are the
+        minimal ones, found in one pass in id order that tests each
+        pattern only against the shorter ones already kept.
         """
         made, key = self._made, (avoid, exactly_once)
         if key not in made:
@@ -184,28 +189,16 @@ class PatternAlgebra:
             for b2 in once_set:
                 if b2 != b and twice(b, b2):
                     return None
+        # ids run in (length, lex) order; a pattern holding a dropped one
+        # holds what dropped it, a shorter kept one or an exactly-once one
+        # twice (the zero-witness step in `_child_pairs`)
         keep = []
-        for a in avoid_set:
-            # only a shorter pattern can lie in a
+        for a in sorted(avoid_set):
             size = lengths[a]
-            redundant = any(lengths[a2] < size and holds(a, a2) for a2 in avoid_set)
-            if not redundant:
-                redundant = any(twice(a, b) for b in once_set)
-            if not redundant:
+            if not any(lengths[k] < size and holds(a, k) for k in keep) \
+                    and not any(twice(a, b) for b in once_set):
                 keep.append(a)
-        return GfState(tuple(sorted(keep)), tuple(sorted(once_set)))
-
-
-def _validate_patterns(patterns: Iterable[Pattern]) -> tuple[Pattern, ...]:
-    out = []
-    for p in patterns:
-        p = tuple(p)
-        if not is_permutation(p):
-            raise PreconditionViolated(f"{p} is not a permutation")
-        if p and contains(p, PATTERN_132):
-            raise Not132Avoiding(f"pattern {p} contains 132")
-        out.append(p)
-    return tuple(out)
+        return GfState(tuple(keep), tuple(sorted(once_set)))
 
 
 # ---------------------------------------------------------------------------
@@ -392,18 +385,16 @@ def _over_common_denominator(groups: dict) -> tuple[Poly, list[Poly]]:
 
 def avoid_set_gf(patterns: Iterable[Pattern]) -> RatFunc:
     """Generating function for avoiding every pattern in the set (plus the
-    ambient 132).  Patterns must avoid 132 and be mutually incomparable;
-    comparable ones are reduced away rather than rejected."""
+    ambient 132).  Patterns must avoid 132; a pattern that holds another
+    avoided one is redundant and reduced away, not rejected."""
     return avoid_contain_gf(patterns, ())
 
 
 def avoid_contain_gf(avoid: Iterable[Pattern], exactly_once: Iterable[Pattern]) -> RatFunc:
     """Generating function for avoiding A while containing each pattern of B
     exactly once (all within the 132-avoiding class)."""
-    a = _validate_patterns(avoid)
-    b = _validate_patterns(exactly_once)
-    if set(a) & set(b):
-        raise PreconditionViolated("avoid and exactly-once sets must be disjoint")
+    query = PatternQuery(avoid, exactly_once)
+    a, b = query.avoid, query.exactly_once
     if not a and not b:
         raise PreconditionViolated("at least one pattern is required")
     algebra = PatternAlgebra(a + b)

@@ -114,23 +114,21 @@ class PatternQuery:
     """Occurrence constraints: avoid all of A, each of B exactly once, each of
     C at least once.  Every pattern must be a permutation of 1..k (the empty
     pattern included), and the three sets must be pairwise disjoint.  Each
-    set is kept in canonical order, and a query is immutable."""
+    set is kept as tuples in canonical order, and a query is immutable."""
 
     __slots__ = ("avoid", "exactly_once", "at_least_once")
 
     def __init__(self, avoid: Iterable[Pattern] = (), exactly_once: Iterable[Pattern] = (),
                  at_least_once: Iterable[Pattern] = ()):
-        sets = (canonical_patterns(avoid), canonical_patterns(exactly_once),
-                canonical_patterns(at_least_once))
+        sets = tuple(canonical_patterns(tuple(t) for t in patterns)
+                     for patterns in (avoid, exactly_once, at_least_once))
         for t in sets[0] + sets[1] + sets[2]:
             if not is_permutation(t):
                 raise PreconditionViolated(f"pattern {t} is not a permutation of 1..{len(t)}")
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if set(sets[i]) & set(sets[j]):
-                    raise PreconditionViolated(
-                        "avoid / exactly-once / at-least-once sets must be disjoint"
-                    )
+        names = ("avoid", "exactly-once", "at-least-once")
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            if set(sets[i]) & set(sets[j]):
+                raise PreconditionViolated(f"{names[i]} and {names[j]} sets must be disjoint")
         for name, patterns in zip(self.__slots__, sets):
             object.__setattr__(self, name, patterns)
 

@@ -181,6 +181,32 @@ def test_exact_errors():
         avoid_contain_gf([], [()])  # reduces to the unrestricted class
 
 
+@pytest.mark.parametrize("avoid, once, error, message", [
+    ([(1, 2, 2)], [], PreconditionViolated, r"\(1, 2, 2\) is not a permutation"),
+    ([], [(2, 3)], PreconditionViolated, r"\(2, 3\) is not a permutation"),
+    ([(2, 4, 3, 1)], [], Not132Avoiding, r"^pattern \(2, 4, 3, 1\) contains 132$"),
+    ([], [P132], Not132Avoiding, r"^pattern \(1, 3, 2\) contains 132$"),
+    # the first in canonical order is named, the avoid set before the other
+    ([(2, 4, 3, 1), P132], [(1,)], Not132Avoiding, r"^pattern \(1, 3, 2\) contains 132$"),
+    ([(2, 4, 3, 1)], [P132], Not132Avoiding, r"^pattern \(2, 4, 3, 1\) contains 132$"),
+    ([(1, 2)], [(2, 1), (1, 2)], PreconditionViolated,
+     r"^avoid and exactly-once sets must be disjoint$"),
+    ([], [], PreconditionViolated, r"^at least one pattern is required$"),
+    ([], [()], PreconditionViolated, r"^constraints reduce to the unrestricted class"),
+], ids=["avoid-not-permutation", "once-not-permutation", "avoid-holds-132", "once-holds-132",
+        "first-132-holder-named", "avoid-132-holder-named-first", "overlap", "no-pattern",
+        "once-empty-pattern"])
+def test_engine_rejects_each_single_fault(avoid, once, error, message):
+    # one fault, one error class and one message, whichever set holds it
+    with pytest.raises(error, match=message):
+        avoid_contain_gf(avoid, once)
+
+
+def test_engine_takes_list_patterns():
+    assert avoid_set_gf([[2, 3, 1]]) == avoid_set_gf([(2, 3, 1)])
+    assert avoid_contain_gf([[2, 3, 1]], [[1, 2]]) == avoid_contain_gf([(2, 3, 1)], [(1, 2)])
+
+
 def test_exact_structural_zeroes():
     # avoid 12 while containing 123 exactly once: impossible
     assert avoid_contain_gf([(1, 2)], [(1, 2, 3)]) == RatFunc()
@@ -287,6 +313,17 @@ def _child_pairs_product(avoid, once):
     return {pair: c for pair, c in terms.items() if c}
 
 
+AVOIDERS_TO_6 = [p for n in range(1, 7) for p in itertools.permutations(range(1, n + 1))
+                 if not contains(p, P132)]
+
+
+def _assert_make_is_the_reference(algebra, avoid_ids, once_ids):
+    patterns = algebra.patterns
+    state = algebra.make(avoid_ids, once_ids)
+    want = _reference_make([patterns[i] for i in avoid_ids], [patterns[i] for i in once_ids])
+    assert (None if state is None else algebra.decode(state)) == want, (avoid_ids, once_ids)
+
+
 query_avoid = st.lists(st.sampled_from(AVOIDERS_TO_5), min_size=1, max_size=2, unique=True)
 query_once = st.lists(st.sampled_from(AVOIDERS_TO_5), max_size=2, unique=True)
 
@@ -307,10 +344,31 @@ def test_interned_make_equals_the_reference(avoid, once):
     for _ in _reached_states(root, algebra):
         pass
     assert algebra._made
-    for (avoid_ids, once_ids), state in algebra._made.items():
-        patterns = algebra.patterns
-        want = _reference_make([patterns[i] for i in avoid_ids], [patterns[i] for i in once_ids])
-        assert (None if state is None else algebra.decode(state)) == want, (avoid_ids, once_ids)
+    for avoid_ids, once_ids in list(algebra._made):
+        _assert_make_is_the_reference(algebra, avoid_ids, once_ids)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_make_equals_the_reference_on_any_id_sets(data):
+    # any avoid and exactly-once ids of a closure, in any order and with
+    # repeats, not only the inputs the recursion reaches from a query
+    query = data.draw(st.lists(st.sampled_from(AVOIDERS_TO_6), min_size=1, max_size=12, unique=True))
+    algebra = PatternAlgebra(query)
+    ids = st.integers(0, len(algebra.patterns) - 1)
+    avoid_ids = tuple(data.draw(st.lists(ids, max_size=12)))
+    once_ids = tuple(data.draw(st.lists(ids, max_size=3)))
+    _assert_make_is_the_reference(algebra, avoid_ids, once_ids)
+
+
+def test_make_equals_the_reference_along_a_chain():
+    # the closure of 1234 is the chain () < 1 < 12 < 123 < 1234: with 1 and
+    # 12 avoided, 123 is tested only against 1, the one kept
+    algebra = PatternAlgebra([(1, 2, 3, 4)])
+    assert algebra.patterns == ((), (1,), (1, 2), (1, 2, 3), (1, 2, 3, 4))
+    subsets = [ids for size in range(6) for ids in itertools.combinations(range(5), size)]
+    for avoid_ids, once_ids in itertools.product(subsets, repeat=2):
+        _assert_make_is_the_reference(algebra, avoid_ids, once_ids)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

@@ -30,6 +30,22 @@ def test_perms_imports_no_package_module_but_errors():
     assert package == {".errors"}
 
 
+def test_patternquery_is_the_one_pattern_validator():
+    # a query's patterns are checked in one place: PatternQuery (and the
+    # pattern parser) in perms call is_permutation, and the engine leaves
+    # the 132 check to decompose
+    callers = sorted(p.name for p in SRC.glob("*.py")
+                     for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.Call)
+                     and "is_permutation" in (getattr(node.func, "id", None),
+                                              getattr(node.func, "attr", None)))
+    assert set(callers) == {"perms.py"}, callers
+    engine = ast.parse((SRC / "engine.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(engine) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not imported & {"PATTERN_132", "is_permutation"}, imported
+
+
 def _fraction_uses(tree: ast.Module) -> set[str]:
     """Where the name `Fraction` is used: the qualified name of the enclosing
     function, or of the module-level assignment, for each use."""

@@ -588,8 +588,19 @@ def test_census_bound():
 
 
 def test_pattern_query_disjointness():
-    with pytest.raises(PreconditionViolated):
-        PatternQuery(avoid=((1, 2),), exactly_once=((1, 2),))
+    # the message names the two sets that overlap
+    for first, second, named in [("avoid", "exactly_once", "avoid and exactly-once"),
+                                 ("avoid", "at_least_once", "avoid and at-least-once"),
+                                 ("exactly_once", "at_least_once", "exactly-once and at-least-once")]:
+        with pytest.raises(PreconditionViolated, match=f"^{named} sets must be disjoint$"):
+            PatternQuery(**{first: ((1, 2),), second: ((2, 1), (1, 2))})
+
+
+def test_pattern_query_takes_list_patterns():
+    q = PatternQuery(avoid=[[1, 2]], exactly_once=[[2, 1], []], at_least_once=[range(1, 4)])
+    assert q == PatternQuery(avoid=((1, 2),), exactly_once=((), (2, 1)),
+                             at_least_once=((1, 2, 3),))
+    assert all(type(t) is tuple for t in q.avoid + q.exactly_once + q.at_least_once)
 
 
 @pytest.mark.parametrize("sets", [
