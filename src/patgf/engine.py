@@ -412,7 +412,11 @@ def avoid_contain_gf(avoid: Iterable[Pattern], exactly_once: Iterable[Pattern]) 
 # ---------------------------------------------------------------------------
 
 def ulk_members(k: int, l: int) -> tuple[Pattern, ...]:
-    """All length-k patterns whose last k-l entries are l+1, ..., k."""
+    """All l! length-k patterns whose last k-l entries are l+1, ..., k.
+
+    For l >= 3 some members hold 132, which the engine rejects; under the
+    ambient 132 they are redundant, so the engine takes the Catalan(l)
+    members that avoid 132."""
     if not 1 <= l <= k:
         raise PreconditionViolated(f"need 1 <= l <= k, got l={l}, k={k}")
     tail = tuple(range(l + 1, k + 1))

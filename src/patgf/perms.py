@@ -178,7 +178,7 @@ def count_occurrences(p: Sequence[int], t: Pattern, cap: int | None = None) -> i
     if k == 0:
         return 1
     chosen = [0] * (k + 2)
-    chosen[k + 1] = inf
+    chosen[k], chosen[k + 1] = -inf, inf
     count = 0
     for _ in _embeddings(p, len(p), _placement_plan(t), chosen):
         count += 1
@@ -197,8 +197,8 @@ def _placement_plan(t: Pattern,
                     pinned: int | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """How `_embeddings` places t, left to right: for each entry, the index
     of the earlier entry whose value bounds it from below and from above.
-    Where no earlier entry does, the index is len(t), the floor (value 0),
-    or len(t) + 1, the ceiling (above every entry of the word searched).
+    Where no earlier entry does, the index is len(t), the floor (below every
+    entry of the word searched), or len(t) + 1, the ceiling (above every one).
 
     With `pinned`, the plan places only the entries before t[pinned], whose
     value is fixed beforehand, and t[pinned] counts as an earlier entry of
@@ -222,14 +222,13 @@ def _embeddings(p: Sequence[int], n: int, plan, chosen: list):
 
     `chosen` holds one slot per entry of the pattern t, then the floor and
     the ceiling at indices len(t) and len(t) + 1; the caller fills the
-    fixed slots (the ceiling, above every entry of p[:n], and a pinned
-    entry), and the list is reused between yields.
+    fixed slots (the floor and the ceiling, below and above every entry of
+    p[:n], and a pinned entry), and the list is reused between yields.
 
     The search is iterative, with the stack in lists: entry i scans p from
     position q up to `stop`, which leaves room for the entries after it, for
     a value strictly between its bounds lo and hi; `nxt`, `los` and `his`
     keep where each entry resumes, so backtracking is a step down the stack.
-    The entries of p are positive.
     """
     below, above = plan
     depth = len(below)

@@ -3,11 +3,9 @@
 A polynomial is a tuple of Python ints, ascending and with no trailing zero
 (the zero polynomial is the empty tuple), so all arithmetic is integer
 arithmetic.  By Fatou's lemma a rational power series with integer
-coefficients is P/Q with P, Q in Z[x] and Q(0) = 1, so every generating
-function here has den(0) = 1.  `fractions.Fraction` appears only in JSON
-input, whose fractional coefficient strings are cleared of denominators,
-and in the series of a rational function with den(0) != 1; it is imported
-there, when it is first needed.
+coefficients is P/Q with P, Q in Z[x] coprime and Q(0) = 1, so every
+generating function here has den(0) = 1, and its series is computed in ints
+too: `RatFunc.series` rejects any other den(0).
 
 Rational functions are kept in a canonical form in which structural
 equality is equality of formal power series at the origin: num and den
@@ -21,13 +19,10 @@ every other step of the normalisation with `RatFunc(num, den)`.
 
 from __future__ import annotations
 
-import re
-from math import gcd, lcm
-from typing import Iterable, Union
+from math import gcd
+from typing import Iterable
 
-from .errors import DivisionByZero, IndexOutOfRange, ParseError, PoleAtOrigin
-
-Coeff = Union[int, "Fraction"]
+from .errors import DivisionByZero, IndexOutOfRange, PoleAtOrigin, PreconditionViolated
 
 
 class Poly:
@@ -385,11 +380,13 @@ class RatFunc:
     # -- series -------------------------------------------------------------
 
     def series(self, order: int) -> "PowerSeries":
-        """First order+1 Taylor coefficients at the origin, exactly.
+        """First order+1 Taylor coefficients at the origin, in ints.
 
-        Solves den * result = num coefficientwise; den(0) != 0 is required.
-        The recurrence runs in ints when den(0) = 1, as it is for every
-        generating function, and in Fractions otherwise.
+        Solves den * result = num coefficientwise, so den(0) = 1 is needed:
+        den(0) = 0 raises PoleAtOrigin, any other PreconditionViolated.  A
+        canonical function has den(0) = 1 just when its series is integral:
+        by Fatou's lemma such a series is P/Q, coprime with Q(0) = 1, so
+        den = c*Q, and coprime contents and den(0) > 0 make c = 1.
         """
         if order < 0:
             raise IndexOutOfRange(f"series needs order >= 0, got {order}")
@@ -397,9 +394,8 @@ class RatFunc:
         if d[0] == 0:
             raise PoleAtOrigin(f"{self.render()} has a pole at the origin")
         if d[0] != 1:
-            from fractions import Fraction
-            n, d = ([Fraction(c, d[0]) for c in part] for part in (n, d))
-        out: list = []
+            raise PreconditionViolated(f"{self.render()} has no integer series: den(0) = {d[0]}")
+        out: list[int] = []
         top = len(d) - 1
         for k in range(order + 1):
             acc = n[k] if k < len(n) else 0
@@ -422,31 +418,6 @@ class RatFunc:
         return {"num": [str(c) for c in self.num.coeffs],
                 "den": [str(c) for c in self.den.coeffs]}
 
-    @staticmethod
-    def from_json_dict(data: dict) -> "RatFunc":
-        """Parse what `to_json_dict` writes: `num` and `den` are lists of
-        exact coefficient strings, and den is nonzero.  Fractions such as
-        "-1/2" are accepted too, and their denominators are cleared."""
-        try:
-            parts = data["num"], data["den"]
-            if not all(isinstance(part, list) and all(isinstance(c, str) for c in part)
-                       for part in parts):
-                raise TypeError("num and den must be lists of strings")
-            if not all(_EXACT.fullmatch(c) for part in parts for c in part):
-                raise ValueError("coefficients must be exact integers or fractions")
-            from fractions import Fraction
-            fracs = [[Fraction(c) for c in part] for part in parts]
-            m = lcm(*(c.denominator for part in fracs for c in part))
-            num, den = (Poly([int(c * m) for c in part]) for part in fracs)
-            if den.is_zero():
-                raise ValueError("zero denominator")
-        except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
-            raise ParseError(f"malformed rational-function JSON: {data!r}") from exc
-        return RatFunc(num, den)
-
-
-_EXACT = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
 
 def as_ratfunc(value) -> RatFunc:
     if isinstance(value, RatFunc):
@@ -466,7 +437,7 @@ class PowerSeries:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[Coeff, ...]):
+    def __init__(self, coeffs: tuple[int, ...]):
         object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, name, value):
@@ -490,7 +461,7 @@ class PowerSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> Coeff:
+    def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
 
     def mul(self, other: "PowerSeries") -> "PowerSeries":

@@ -207,29 +207,34 @@ def test_gf_missing_parameter(capsys):
         assert (code, out) == (2, "") and err.rstrip().endswith(f"--l is required by {user}")
 
 
+def _read_gf(payload):
+    """The RatFunc of the int strings that `gf --json` writes."""
+    from patgf import Poly, RatFunc
+    return RatFunc(*(Poly([int(c) for c in payload[part]]) for part in ("num", "den")))
+
+
 def test_gf_json_round_trip(capsys):
     code, out, _ = run(capsys, "gf", "catalog:ulk", "--k", "4", "--l", "2", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["provenance"] == "catalog"
     # re-rendering the parsed JSON is byte-identical
-    from patgf import RatFunc
-    parsed = RatFunc.from_json_dict(payload)
+    parsed = _read_gf(payload)
     again = parsed.to_json_dict()
     again["provenance"] = payload["provenance"]
     assert json.dumps(again) == out.strip()
 
 
 def test_gf_provenance(capsys):
-    from patgf import RatFunc, avoid_contain_gf, avoid_set_gf
+    from patgf import avoid_contain_gf, avoid_set_gf
     code, out, _ = run(capsys, "gf", "recurrence", "--avoid", "231", "--json")
     payload = json.loads(out)
     assert (code, payload.pop("provenance")) == (0, "recurrence")
-    assert RatFunc.from_json_dict(payload) == avoid_set_gf([(2, 3, 1)])
+    assert _read_gf(payload) == avoid_set_gf([(2, 3, 1)])
     code, out, _ = run(capsys, "gf", "recurrence", "--exactly-once", "12", "--json")
     payload = json.loads(out)
     assert (code, payload.pop("provenance")) == (0, "recurrence")
-    assert RatFunc.from_json_dict(payload) == avoid_contain_gf([], [(1, 2)])
+    assert _read_gf(payload) == avoid_contain_gf([], [(1, 2)])
 
 
 def test_table(capsys):

@@ -403,6 +403,39 @@ def test_child_pairs_fold_equals_case_product(avoid, once):
             == _child_pairs_product(*algebra.decode(state)), state
 
 
+def test_case_table_splits_each_permutation_into_one_row():
+    # the module docstring's table against occurrence counts: each
+    # 132-avoider p = p' n p'' of length <= 7 meets exactly one row of t's
+    # cases when it meets t's constraint, and none otherwise, for every
+    # 132-avoiding t of length <= 5, avoided or exactly once
+    occurrences = {}
+
+    def occ(word, t):
+        key = word, t
+        if key not in occurrences:
+            occurrences[key] = count_occurrences(word, t, cap=2)
+        return occurrences[key]
+
+    def meets(word, avoids, once, at_least=()):
+        return (all(occ(word, a) == 0 for a in avoids) and all(occ(word, g) == 1 for g in once)
+                and all(occ(word, c) >= 1 for c in at_least))
+
+    avoiders = [p for n in range(1, 8) for p in itertools.permutations(range(1, n + 1))
+                if not contains(p, P132)]
+    tables = [(t, once, _cases(decompose(t), once))
+              for t in AVOIDERS_TO_5 for once in (False, True)]
+    checks = 0
+    for p in avoiders:
+        i = p.index(len(p))
+        left, right = flatten(p[:i]), flatten(p[i + 1:])
+        for t, once, rows in tables:
+            met = sum(meets(left, l_avoid, l_once, l_least) and meets(right, r_avoid, r_once)
+                      for l_avoid, l_once, l_least, r_avoid, r_once in rows)
+            assert met == (occ(p, t) == (1 if once else 0)), (p, t, once)
+            checks += 1
+    assert checks == 80_000
+
+
 def _reference_evaluate(state, algebra, memo):
     """The per-term solution that `_evaluate` sums over one denominator:
     every partial sum and product a reduced RatFunc."""

@@ -12,6 +12,10 @@ recorded at commit bc67f29, before the census answered length-3 patterns in
 closed form, dropped redundant avoided patterns and carried each node's
 live and hit gaps.  The verify suites count these queries to n = 8; this
 reaches two lengths further.
+
+`golden_verify.json` is the stdout of `patgf verify --suite all --json
+--max-n 9`, recorded at commit fa15b42: 74 checks, exit code 1 for the
+known k = 5 closed-sum check.  The report stays byte-identical.
 """
 
 import json
@@ -22,6 +26,7 @@ from patgf.cli import main
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_gf.json").read_text())
 GOLDEN_CENSUS = json.loads(Path(__file__).with_name("golden_census.json").read_text())
+GOLDEN_VERIFY = Path(__file__).with_name("golden_verify.json").read_text()
 
 
 def test_golden_gf_outputs(capsys):
@@ -41,3 +46,8 @@ def test_golden_census_series():
         query = PatternQuery(*(parse_pattern_set(case[role])
                                for role in ("avoid", "exactly_once", "at_least_once")))
         assert census_series(query, 10) == case["series"], case
+
+
+def test_golden_verify_report(capsys):
+    code = main(["verify", "--suite", "all", "--json", "--max-n", "9"])
+    assert (code, capsys.readouterr().out) == (1, GOLDEN_VERIFY)

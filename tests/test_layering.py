@@ -18,12 +18,6 @@ def _imported_modules(path: Path) -> set[str]:
     return names
 
 
-def test_only_ratfunc_imports_fractions():
-    # the coefficient type lives in one module, so changing it is one edit
-    users = sorted(p.name for p in SRC.glob("*.py") if "fractions" in _imported_modules(p))
-    assert users == ["ratfunc.py"]
-
-
 def test_perms_imports_no_package_module_but_errors():
     # the census is the oracle: it must not reach the engine's block decomposition
     package = {m for m in _imported_modules(SRC / "perms.py") if m.startswith((".", "patgf"))}
@@ -47,8 +41,9 @@ def test_patternquery_is_the_one_pattern_validator():
 
 
 def _fraction_uses(tree: ast.Module) -> set[str]:
-    """Where the name `Fraction` is used: the qualified name of the enclosing
-    function, or of the module-level assignment, for each use."""
+    """Where the name `Fraction` is used, a string forward reference to it
+    included: the qualified name of the enclosing function, or of the
+    module-level assignment, for each use."""
     places = set()
 
     def visit(node, scope):
@@ -57,7 +52,8 @@ def _fraction_uses(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.Assign) and not scope:
             scope = ",".join(ast.unparse(t) for t in node.targets)
         if (isinstance(node, ast.Name) and node.id == "Fraction") or \
-                (isinstance(node, ast.Attribute) and node.attr == "Fraction"):
+                (isinstance(node, ast.Attribute) and node.attr == "Fraction") or \
+                (isinstance(node, ast.Constant) and node.value == "Fraction"):
             places.add(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -66,12 +62,12 @@ def _fraction_uses(tree: ast.Module) -> set[str]:
     return places
 
 
-def test_fraction_stays_at_the_ratfunc_boundary():
-    # polynomials are over Z: Fraction serves the series of a function with
-    # den(0) != 1 and fractional JSON strings, and nothing else
-    places = _fraction_uses(ast.parse((SRC / "ratfunc.py").read_text(encoding="utf-8")))
-    assert "RatFunc.series" in places
-    assert places <= {"Coeff", "RatFunc.series", "RatFunc.from_json_dict"}, places
+def test_no_module_uses_fractions():
+    # every number is an int: polynomials are over Z, and a series is taken
+    # only where den(0) = 1, so no module imports fractions or names Fraction
+    for path in SRC.glob("*.py"):
+        assert "fractions" not in _imported_modules(path), path.name
+        assert not _fraction_uses(ast.parse(path.read_text(encoding="utf-8"))), path.name
 
 
 def test_import_leaves_out_dataclasses_inspect_and_fractions():

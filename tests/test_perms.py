@@ -8,7 +8,7 @@ import pickle
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patgf import (
@@ -18,6 +18,7 @@ from patgf import (
     PreconditionViolated,
     census,
     census_series,
+    contains,
     count_occurrences,
     flatten,
     is_permutation,
@@ -61,6 +62,22 @@ def test_occurrences_against_subset_enumeration(n, k):
             assert count_occurrences(p, t) == want, (p, t)
             for cap in (0, 1, 2):
                 assert count_occurrences(p, t, cap=cap) == min(want, cap), (p, t, cap)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-10, 9), max_size=8, unique=True),
+       st.integers(0, 4).flatmap(lambda k: st.permutations(range(1, k + 1))))
+@example([0, 1], [1, 2])
+@example([-1, -2], [2, 1])
+@example([0, 2, 1], [1, 3, 2])
+def test_occurrences_in_words_with_entries_below_one(word, t):
+    # the search's floor lies below every entry of the word, not at 0
+    word, t = tuple(word), tuple(t)
+    want = brute_occurrences(word, t)
+    assert count_occurrences(word, t) == want
+    for cap in (0, 1, 2):
+        assert count_occurrences(word, t, cap=cap) == min(want, cap)
+    assert contains(word, t) == (want > 0)
 
 
 def test_occurrence_sum_is_binomial():

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from patgf import (
     DivisionByZero,
     IndexOutOfRange,
-    ParseError,
     PatternQuery,
     Poly,
     PoleAtOrigin,
+    PreconditionViolated,
     PowerSeries,
     RF_ONE,
     RatFunc,
@@ -134,6 +134,9 @@ def test_series_oracle_cross_check():
 def test_series_pole():
     with pytest.raises(PoleAtOrigin):
         RatFunc(Poly([1]), X).series(3)
+    # 1/(2 + x) has no integer series, and the message names den(0)
+    with pytest.raises(PreconditionViolated, match=r"no integer series: den\(0\) = 2$"):
+        RatFunc(Poly([1]), Poly([2, 1])).series(3)
 
 
 def test_series_of_zero():
@@ -203,29 +206,9 @@ def test_render():
 def test_json_round_trip():
     pell = RatFunc(Poly([1, -1, -1]), Poly([1, -2, -1]))
     blob = json.dumps(pell.to_json_dict())
-    parsed = RatFunc.from_json_dict(json.loads(blob))
-    assert parsed == pell
-    assert json.dumps(parsed.to_json_dict()) == blob
+    assert json.loads(blob) == {"num": ["1", "-1", "-1"], "den": ["1", "-2", "-1"]}
     frac = RatFunc(Poly([1]), Poly([2, -1]))
     assert frac.to_json_dict() == {"num": ["1"], "den": ["2", "-1"]}
-    again = RatFunc.from_json_dict(json.loads(json.dumps(frac.to_json_dict())))
-    assert again == frac
-
-
-@pytest.mark.parametrize("data", [
-    {"num": "12", "den": ["1"]},  # a string, not a list of strings
-    {"num": [0.1], "den": ["1"]},  # a float, not an exact string
-    {"num": ["1"], "den": [1]},
-    {"num": ["1/0"], "den": ["1"]},  # a zero denominator inside a coefficient
-    {"num": ["1"], "den": ["0"]},  # a zero denominator polynomial
-    {"num": ["1"], "den": []},
-    {"num": ["1.5"], "den": ["1"]},  # not the exact strings to_json_dict writes
-    {"num": ["1e2"], "den": ["1"]},
-    {"num": [" 2 "], "den": ["1"]},
-])
-def test_json_requires_lists_of_strings(data):
-    with pytest.raises(ParseError):
-        RatFunc.from_json_dict(data)
 
 
 def test_rf_scalar_coercion():
@@ -274,17 +257,6 @@ def test_integer_constant_product_keeps_the_contents_coprime():
     g = RatFunc(Poly([1]), Poly([1, -1]))
     for got in (half * g, g * half):
         assert (got.num, got.den) == (Poly([1]), Poly([2, -2]))
-
-
-def test_json_clears_fractional_strings():
-    f = RatFunc.from_json_dict({"num": ["1/2"], "den": ["1", "1/3"]})
-    assert (f.num, f.den) == (Poly([3]), Poly([6, 2]))
-    assert f.render() == "3/(6 + 2*x)"
-    assert f.to_json_dict() == {"num": ["3"], "den": ["6", "2"]}
-    assert f.series(3).coeffs == (Fraction(1, 2), Fraction(-1, 6), Fraction(1, 18),
-                                  Fraction(-1, 54))
-    assert RatFunc.from_json_dict({"num": ["-4/6", "2"], "den": ["2/3"]}) \
-        == RatFunc(Poly([-1, 3]))
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +377,6 @@ def _int_poly(ref):
     return Poly([int(c) for c in ref])
 
 
-def _exact(values):
-    return all(type(c) in (int, Fraction) for c in values)
-
-
 def _agrees(p, ref):
     """Same value, int coefficients, and equal and hashed alike as a Poly."""
     ints = tuple(int(c) for c in ref)
@@ -461,11 +429,13 @@ def test_ratfunc_matches_the_fraction_reference(a, b, common, content):
     assert _agrees(f.num, zn) and _agrees(f.den, zd)
     assert f.render() == _ref_render_rf(zn, zd)
     assert f.to_json_dict() == _ref_json(zn, zd)
-    if want[1][0] != 0:
+    # the series is integral just where den(0) = 1, and is refused elsewhere
+    if zd[0] == 1:
         s = f.series(12)
-        assert s.coeffs == _ref_series(*want, 12) and _exact(s.coeffs)
-        if zd[0] == 1:
-            assert all(type(c) is int for c in s.coeffs)
+        assert s.coeffs == _ref_series(*want, 12) and all(type(c) is int for c in s.coeffs)
+    else:
+        with pytest.raises(PreconditionViolated if zd[0] else PoleAtOrigin):
+            f.series(12)
     # g = b / (1 + x*a): nonzero den, so the field operations are defined
     g_num, g_den = rb, _ref_add((Fraction(1),), _ref_mul((0, Fraction(1)), ra))
     g = RatFunc(pb, _int_poly(g_den))
