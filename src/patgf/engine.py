@@ -57,8 +57,9 @@ The patterns of one query and the tests on them live in a `PatternAlgebra`,
 which `avoid_contain_gf` builds and `_evaluate` and `_child_pairs` hand
 down.  It numbers every pattern a state can hold with a small int, in
 canonical order, so a `GfState` is two sorted id tuples; it keeps each
-pattern's rows in ids, and memoises the pairwise occurrence tests and the
-canonicalisation `make`.  It lives for one query and no longer.
+pattern's rows in ids, and memoises one pairwise occurrence count, capped
+at 2, and the canonicalisation `make`.  It lives for one query and no
+longer.
 
 The b=1 reading above is pinned by the exhaustive census: the verification
 battery compares every engine output against brute-force counts.
@@ -72,7 +73,7 @@ from typing import Iterable, NamedTuple
 from .chebyshev import catalan_poly, cf_closed, cf_denominator, reduced_w
 from .decompose import CanonicalDecomposition, decompose
 from .errors import PreconditionViolated
-from .perms import Pattern, PatternQuery, canonical_patterns, contains, count_occurrences
+from .perms import Pattern, PatternQuery, canonical_patterns, count_occurrences
 from .ratfunc import P_ONE, P_X, P_ZERO, RF_ZERO, Poly, RatFunc
 
 
@@ -95,9 +96,9 @@ class PatternAlgebra:
     `decompose`'s cuts holds them all.  The ids number that closure in
     `canonical_patterns` order: the empty pattern is 0, and a sorted id
     tuple lists its patterns in canonical order.  The case rows of each
-    (pattern, exactly-once or not), the two pairwise tests and `make` are
-    memoised as they are first asked for.  `avoid_contain_gf` builds one
-    algebra per query, and it goes when the query returns.
+    (pattern, exactly-once or not), the pairwise occurrence counts and
+    `make` are memoised as they are first asked for.  `avoid_contain_gf`
+    builds one algebra per query, and it goes when the query returns.
     """
 
     EMPTY = 0
@@ -115,8 +116,7 @@ class PatternAlgebra:
         self._decompositions = [closure[t] for t in self.patterns]
         self._lengths = [len(t) for t in self.patterns]
         self._rows: dict[tuple[int, bool], list] = {}
-        self._holds: dict[tuple[int, int], bool] = {}
-        self._twice: dict[tuple[int, int], bool] = {}
+        self._occurrences: dict[tuple[int, int], int] = {}
         self._made: dict[tuple[tuple[int, ...], tuple[int, ...]], GfState | None] = {}
 
     def state(self, avoid: Iterable[Pattern], exactly_once: Iterable[Pattern]) -> GfState | None:
@@ -130,20 +130,12 @@ class PatternAlgebra:
         return (tuple(patterns[i] for i in state.avoid),
                 tuple(patterns[i] for i in state.exactly_once))
 
-    def holds(self, i: int, j: int) -> bool:
-        """Does pattern j occur in pattern i?"""
-        found = self._holds.get((i, j))
+    def occurrences(self, i: int, j: int) -> int:
+        """How often pattern j occurs in pattern i, counted up to 2."""
+        found = self._occurrences.get((i, j))
         if found is None:
-            found = contains(self.patterns[i], self.patterns[j])
-            self._holds[i, j] = found
-        return found
-
-    def holds_twice(self, i: int, j: int) -> bool:
-        """Does pattern j occur in pattern i at least twice?"""
-        found = self._twice.get((i, j))
-        if found is None:
-            found = count_occurrences(self.patterns[i], self.patterns[j], cap=2) >= 2
-            self._twice[i, j] = found
+            found = count_occurrences(self.patterns[i], self.patterns[j], cap=2)
+            self._occurrences[i, j] = found
         return found
 
     def rows(self, i: int, once: bool) -> list[tuple[tuple[int, ...], ...]]:
@@ -177,17 +169,17 @@ class PatternAlgebra:
         return made[key]
 
     def _canonical(self, avoid: tuple[int, ...], exactly_once: tuple[int, ...]) -> GfState | None:
-        holds, twice, lengths = self.holds, self.holds_twice, self._lengths
+        occurrences, lengths = self.occurrences, self._lengths
         avoid_set = set(avoid)
         once_set = set(exactly_once) - {self.EMPTY}
         if self.EMPTY in avoid_set:
             return None
         for b in once_set:
             for a in avoid_set:
-                if holds(b, a):
+                if occurrences(b, a):
                     return None
             for b2 in once_set:
-                if b2 != b and twice(b, b2):
+                if b2 != b and occurrences(b, b2) > 1:
                     return None
         # ids run in (length, lex) order; a pattern holding a dropped one
         # holds what dropped it, a shorter kept one or an exactly-once one
@@ -195,8 +187,8 @@ class PatternAlgebra:
         keep = []
         for a in sorted(avoid_set):
             size = lengths[a]
-            if not any(lengths[k] < size and holds(a, k) for k in keep) \
-                    and not any(twice(a, b) for b in once_set):
+            if not any(lengths[k] < size and occurrences(a, k) for k in keep) \
+                    and not any(occurrences(a, b) > 1 for b in once_set):
                 keep.append(a)
         return GfState(tuple(keep), tuple(sorted(once_set)))
 

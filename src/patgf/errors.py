@@ -10,7 +10,7 @@ class PatgfError(Exception):
 
 
 class ParseError(PatgfError):
-    """Malformed pattern text or malformed JSON input."""
+    """Malformed pattern text, or a command line that the CLI cannot run."""
 
 
 class LengthTooLarge(PatgfError):

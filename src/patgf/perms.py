@@ -31,16 +31,17 @@ length m has g other entries below its new one and m - g above, so it
 runs only where g is at least the number of entries of t[:-2] below t[-2]
 and m - g at least the number above (`_census_rule`).  A pattern of length
 3 needs no search at all: the child holds every value on each side of its
-new entry, so its runs are known from the gap alone.  So no node searches
-its whole permutation, and nothing is computed afresh from p.
+new entry, so its runs are known from the gap alone, and one of length 1,
+which every entry completes, has no rule.  So no node searches its whole
+permutation, and nothing is computed afresh from p.
 `_embeddings` is the one occurrence search, iterative with an explicit
 stack and with fixed slots for the floor, the ceiling and a pinned entry:
 `count_occurrences` and `contains` run it over the whole pattern.
-Each node is tallied at its own length, so one walk counts every length up
-to n.  The loop that builds a child's masks also gives its live gaps, whose
+The loop that builds a child's masks also gives its live gaps, whose
 children stay in the class, and its hit gaps, whose children meet the
-query.  The nodes of length n, about two thirds of the tree, are never
-built: their parents count them from those two masks.
+query.  Every node but the root is counted by its parent as one of the
+gaps that are both, so one walk counts every length up to n with one rule,
+and the nodes of length n, about two thirds of the tree, are never built.
 `census_reference`, a plain lexicographic walk of S_n checked leaf by leaf,
 is the oracle the tests hold the census to.
 
@@ -282,11 +283,9 @@ def _census_rule(t: Pattern):
     of the search, (under, over): the entries of t[:-2] below and above
     t[-2].  A child at gap g of a node of length m has g other entries below
     its last and m - g above, so the search can find something only where
-    under <= g <= m - over.  None for a pattern of length 1, which every new
-    entry completes."""
+    under <= g <= m - over.  t has length 2 or more: every new entry completes
+    a pattern of length 1, and `_root` gives it no rule."""
     k = len(t)
-    if k == 1:
-        return None
     below, above = _placement_plan(t)
     under = sum(v < t[-2] for v in t[:-2])
     return _placement_plan(t, k - 2), below[k - 1], above[k - 1], under, k - 2 - under
@@ -309,8 +308,8 @@ def _ending_at_last(child: list[int], rule) -> tuple[int, int]:
     Only one bound of t[-1] can move with t[0], so the runs are nested: the
     widest is at t[0]'s smallest value, or its largest where t[0] bounds
     t[-1] from above, and the next widest, which two embeddings complete,
-    one value in.  `rule` is a `_census_rule`, not None, and the child's
-    gap lies in its window, so the child's other entries can hold t[:-2].
+    one value in.  `rule` is a `_census_rule`, and the child's gap lies in
+    its window, so the child's other entries can hold t[:-2].
     """
     plan, lo_at, hi_at, under, _ = rule
     depth = len(plan[0])
@@ -334,11 +333,6 @@ def _ending_at_last(child: list[int], rule) -> tuple[int, int]:
         twos |= ones & mask
         ones |= mask
     return ones, twos
-
-
-def _counted(node) -> bool:
-    """Does the node's permutation meet the query, not only stay in the class?"""
-    return all(node[1])
 
 
 def _children(node, rules):
@@ -373,7 +367,7 @@ def _children(node, rules):
                 if exact or not done:
                     for rule in patterns:
                         # the window, under <= g <= m - over (`_census_rule`)
-                        if rule is not None and rule[3] <= g <= m - rule[4]:
+                        if rule[3] <= g <= m - rule[4]:
                             new_ones, new_twos = _ending_at_last(child, rule)
                             two |= one & new_ones | new_twos
                             one |= new_ones
@@ -388,16 +382,15 @@ def _children(node, rules):
 
 
 def _walk(node, rules, order: int, tally: list[int]) -> None:
-    """Tally the node and every node below it, down to length `order`, at
-    its length.  The nodes of length `order` are counted from their parents'
-    live and hit gaps and never built."""
-    m = len(node[0])
-    tally[m] += _counted(node)
-    if m + 1 < order:
+    """Tally every node below the node, down to length `order`, at its
+    length, each counted by its parent: the children that are both live and
+    hit.  The node is shorter than `order`, and the nodes of length `order`
+    are never built."""
+    m = len(node[0]) + 1
+    tally[m] += (node[4] & node[5]).bit_count()
+    if m < order:
         for child in _children(node, rules):
             _walk(child, rules, order, tally)
-    elif m < order:
-        tally[order] += (node[4] & node[5]).bit_count()
 
 
 def _walk_task(args) -> list[int]:
@@ -419,48 +412,21 @@ def _root(query: PatternQuery):
     that holds a shorter avoided one is dropped.  The root's one child, the
     permutation 1, completes exactly the patterns of length 1: it stays in
     the class unless 1 is avoided, and meets the query if no exactly-once or
-    at-least-once pattern is longer."""
+    at-least-once pattern is longer.  Every later entry completes them too,
+    so their masks stay every gap, and only the longer patterns get a rule."""
     avoid = tuple(t for t in query.avoid
                   if not any(len(u) < len(t) and contains(t, u) for u in query.avoid))
     # The empty pattern occurs exactly once in everything: vacuous constraint.
     constraints = [(1, 1, avoid)] if avoid else []
     constraints += [(1, 0, (t,)) for t in query.exactly_once if t]
     constraints += [(0, 0, (t,)) for t in query.at_least_once if t]
-    rules = tuple((exact, tuple(map(_census_rule, patterns)))
+    rules = tuple((exact, tuple(_census_rule(t) for t in patterns if len(t) > 1))
                   for exact, _, patterns in constraints)
     met = [met for _, met, _ in constraints]
     ones = [int(any(len(t) == 1 for t in patterns)) for _, _, patterns in constraints]
     live = int((1,) not in avoid)
     hits = int(all(len(t) <= 1 for t in query.exactly_once + query.at_least_once))
     return ((), met, ones, [0] * len(ones), live, hits), rules
-
-
-def _tree_series(query: PatternQuery, order: int, workers: int) -> list[int]:
-    """Counts at lengths 0..order from one walk of the generating tree."""
-    if any(len(t) == 0 for t in query.avoid):
-        return [0] * (order + 1)  # the empty pattern occurs in every permutation
-    root, rules = _root(query)
-    tally = [0] * (order + 1)
-    frontier = [root]
-    depth = 0
-    # the frontier stops short of `order`, whose nodes `_walk` never builds
-    while (workers > 1 and depth < order - 1
-           and 0 < len(frontier) < _SUBTREES_PER_WORKER * workers):
-        tally[depth] += sum(map(_counted, frontier))
-        frontier = [child for node in frontier for child in _children(node, rules)]
-        depth += 1
-    if workers > 1 and len(frontier) >= _SUBTREES_PER_WORKER * workers:
-        # imported here: the import costs a serial run about 2.5 MB of memory
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_walk_task, [(node, rules, order) for node in frontier])
-            for part in parts:
-                tally = [a + b for a, b in zip(tally, part)]
-    else:
-        for node in frontier:
-            _walk(node, rules, order, tally)
-    return tally
 
 
 def census(query: PatternQuery, n: int, *, bound: int | None = None,
@@ -481,9 +447,11 @@ def census_series(query: PatternQuery, order: int, *, bound: int | None = None,
     """[f(0), f(1), ..., f(order)] for the query, from one walk of the
     generating tree.
 
-    With workers > 1 the tree is grown level by level in this process until
-    its frontier holds a few subtrees per worker; one process pool then walks
-    those subtrees, and the tallies are added, so the result is identical.
+    The root is counted from its own flags, and every other node by its
+    parent (`_walk`).  With workers > 1 the tree is grown level by level in
+    this process until its frontier holds a few subtrees per worker; one
+    process pool then walks those subtrees, and the tallies are added, so
+    the result is identical.
     """
     limit = DEFAULT_MAX_N if bound is None else bound
     if order > limit:
@@ -492,7 +460,31 @@ def census_series(query: PatternQuery, order: int, *, bound: int | None = None,
         raise PreconditionViolated("census length must be non-negative")
     if not 1 <= workers <= MAX_WORKERS:
         raise PreconditionViolated(f"workers must be 1..{MAX_WORKERS}, got {workers}")
-    return _tree_series(query, order, workers)
+    if any(len(t) == 0 for t in query.avoid):
+        return [0] * (order + 1)  # the empty pattern occurs in every permutation
+    root, rules = _root(query)
+    tally = [0] * (order + 1)
+    tally[0] = int(all(root[1]))
+    frontier = [root] if order else []
+    depth = 0
+    # the frontier stops short of `order`, whose nodes `_walk` never builds
+    while (workers > 1 and depth < order - 1
+           and 0 < len(frontier) < _SUBTREES_PER_WORKER * workers):
+        tally[depth + 1] += sum((live & hits).bit_count() for *_, live, hits in frontier)
+        frontier = [child for node in frontier for child in _children(node, rules)]
+        depth += 1
+    if workers > 1 and len(frontier) >= _SUBTREES_PER_WORKER * workers:
+        # imported here: the import costs a serial run about 2.5 MB of memory
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(_walk_task, [(node, rules, order) for node in frontier])
+            for part in parts:
+                tally = [a + b for a, b in zip(tally, part)]
+    else:
+        for node in frontier:
+            _walk(node, rules, order, tally)
+    return tally
 
 
 def census_reference(query: PatternQuery, n: int) -> int:

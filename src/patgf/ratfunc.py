@@ -59,8 +59,6 @@ class Poly:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Poly([other])
         if not isinstance(other, Poly):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -332,8 +330,6 @@ class RatFunc:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Poly)):
-            other = RatFunc(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.num == other.num and self.den == other.den

@@ -72,7 +72,7 @@ def test_no_module_uses_fractions():
 
 def test_import_leaves_out_dataclasses_inspect_and_fractions():
     # the package and its CLI load only what they use: records are named
-    # tuples or slotted classes, and Fraction is imported where it is needed
+    # tuples or slotted classes, and no module imports Fraction
     script = ("import sys, patgf, patgf.cli\n"
               "print(sorted(m for m in ('dataclasses', 'inspect', 'fractions') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

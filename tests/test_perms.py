@@ -243,7 +243,8 @@ def test_gap_marks_match_occurrence_differences():
                                     ("at least once", 0), ("at least once", 1)):
                     exact, least = _ROLES[role]
                     node = _node(p, new, exact, least, start)
-                    rules = ((exact, (perms._census_rule(t),)),)
+                    # a length-1 t gets no rule, as in `_root`
+                    rules = ((exact, (perms._census_rule(t),) if len(t) > 1 else ()),)
                     live = node[4]
                     children = list(perms._children(node, rules))
                     gaps = [g for g in range(m + 1) if live >> g & 1]
@@ -285,6 +286,14 @@ _SMALL_PATTERNS = [t for k in range(5) for t in itertools.permutations(range(1, 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(st.sampled_from(_SMALL_PATTERNS), st.integers(0, 2)),
                 max_size=4, unique_by=lambda pair: pair[0]))
+# the root's tally, order 0 and the patterns of length 0 and 1, which get no
+# search rule, in each of the three roles
+@example([((), 0)])
+@example([((), 1)])
+@example([((), 2)])
+@example([((1,), 0)])
+@example([((1,), 1)])
+@example([((1,), 2)])
 def test_census_matches_reference_on_random_queries(roles):
     sets = ([], [], [])
     for t, role in roles:
@@ -324,7 +333,9 @@ def test_carried_masks_match_the_search_from_scratch(roles):
     constraints += [(1, 1, (t,)) for t in query.exactly_once if t]
     constraints += [(0, 1, (t,)) for t in query.at_least_once if t]
     assert [exact for exact, _ in rules] == [exact for exact, _, _ in constraints]
-    assert [len(patterns) for _, patterns in rules] == [len(ts) for _, _, ts in constraints]
+    # only the patterns of length 2 or more get a rule
+    assert [len(patterns) for _, patterns in rules] == \
+        [sum(len(t) > 1 for t in ts) for _, _, ts in constraints]
     stack = [node]
     while stack:
         p, met, ones, twos, live, hits = node = stack.pop()
@@ -499,7 +510,8 @@ def test_census_matches_reference_with_length_5_patterns(roles, t5):
 
 
 def test_census_builds_no_node_of_the_last_length(monkeypatch):
-    # the nodes of length `order` are counted from their parents' gap masks
+    # the nodes of length `order` are counted from their parents' gap masks,
+    # and a walk to order 0 tallies the root and builds no node
     walk, lengths = perms._walk, []
 
     def recording(node, rules, order, tally):
@@ -512,7 +524,7 @@ def test_census_builds_no_node_of_the_last_length(monkeypatch):
     for order in range(7):
         lengths.clear()
         assert census_series(query, order) == want[:order + 1]
-        assert lengths and max(lengths) == max(order - 1, 0), order
+        assert max(lengths, default=-1) == order - 1, order
 
 
 def test_census_and_occurrence_search_leave_no_garbage():

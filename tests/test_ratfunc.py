@@ -218,6 +218,15 @@ def test_rf_scalar_coercion():
     assert 2 * f == RatFunc(Poly([2]), Poly([1, -1]))
 
 
+def test_values_equal_only_their_own_type():
+    # equal values hash equally, so a Poly or RatFunc equals no int and a
+    # RatFunc no Poly, as in sets and dict keys
+    assert RF_ONE != 1 and Poly([2]) != 2
+    assert RatFunc(Poly([1, 2])) != Poly([1, 2])
+    assert len({RF_ONE, 1}) == 2
+    assert RF_ONE == RatFunc(Poly([1])) and hash(RF_ONE) == hash(RatFunc(Poly([1])))
+
+
 def test_series_rejects_a_negative_order():
     with pytest.raises(IndexOutOfRange):
         RatFunc(Poly([1]), Poly([1, -1])).series(-3)
