@@ -91,7 +91,8 @@ def cf_denominator(k: int, e) -> Poly:
 
 def cf_iterative(k: int, e) -> RatFunc:
     """R[k; E] by literally unrolling the definition k times:
-    with R = n/d, each step is 1/(1 - x*n/d) = d/(d - x*n)."""
+    with R = n/d, each step is 1/(1 - x*n/d) = d/(d - x*n), which takes no
+    gcd when d(0) != 0."""
     if k < 0:
         raise IndexOutOfRange(f"continued fraction depth {k} < 0")
     r = as_ratfunc(e)
@@ -100,7 +101,12 @@ def cf_iterative(k: int, e) -> RatFunc:
         if den.is_zero():
             raise DegenerateContinuedFraction(
                 "intermediate denominator 1 - x*R is identically zero")
-        r = RatFunc(r.den, den)
+        if den.coefficient(0):
+            # a common factor of d and d - x*n divides x*n and is prime to n,
+            # so it divides x, which (d - x*n)(0) = d(0) != 0 rules out
+            r = RatFunc.from_coprime(r.den, den)
+        else:
+            r = RatFunc(r.den, den)
     return r
 
 

@@ -14,7 +14,9 @@ lowest nonzero denominator coefficient is positive.  The gcd is the
 primitive polynomial remainder sequence over Z[x] (Knuth, TAOCP vol. 2,
 4.6.1; Brown, JACM 18, 1971), divided out exactly.  `RatFunc.from_coprime`
 skips it for a pair whose coprimality the caller has proved, and shares
-every other step of the normalisation with `RatFunc(num, den)`.
+every other step of the normalisation with `RatFunc(num, den)`.  Products
+and quotients of canonical functions take only the two cross gcds of
+operand size (Henrici), never the gcd of the full product.
 """
 
 from __future__ import annotations
@@ -233,6 +235,16 @@ def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
         a, b = b, _primitive(r)[1]
 
 
+def _cancel(a, b):
+    """Primitive a and b with their gcd divided out exactly; a nonzero
+    constant has gcd 1 with anything."""
+    if len(a) > 1 and len(b) > 1:
+        g = _prs_gcd(a, b)
+        if len(g) > 1:
+            return _pdiv(a, g)[1], _pdiv(b, g)[1]
+    return a, b
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """The gcd over Z[x] of the primitive parts of a and b, with a positive
     leading coefficient: the gcd over the rationals, made primitive.
@@ -282,12 +294,7 @@ class RatFunc:
         # num/den = cn/cd * pn/pd, with pn and pd primitive
         cn, pn = _primitive(num.coeffs)
         cd, pd = _primitive(den.coeffs)
-        # a nonzero constant has gcd 1 with anything
-        if len(pn) > 1 and len(pd) > 1:
-            g = _prs_gcd(pn, pd)
-            if len(g) > 1:
-                pn = _pdiv(pn, g)[1]
-                pd = _pdiv(pd, g)[1]
+        pn, pd = _cancel(pn, pd)
         self._settle(cn, pn, cd, pd)
 
     @staticmethod
@@ -360,7 +367,7 @@ class RatFunc:
 
     def __mul__(self, other) -> "RatFunc":
         other = as_ratfunc(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return self._times(other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -368,7 +375,24 @@ class RatFunc:
         other = as_ratfunc(other)
         if other.is_zero():
             raise DivisionByZero("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return self._times(other.den, other.num)
+
+    def _times(self, c: Poly, d: Poly) -> "RatFunc":
+        """(a/b)*(c/d) for this a/b and coprime c and d, by Henrici's product
+        (Knuth, TAOCP vol. 2, 4.5.1): gcd(a*c, b*d) = gcd(a, d)*gcd(c, b), so
+        two gcds of operand size leave the product in lowest terms."""
+        if self.is_zero() or c.is_zero():
+            return RF_ZERO
+        ca, pa = _primitive(self.num.coeffs)
+        cb, pb = _primitive(self.den.coeffs)
+        cc, pc = _primitive(c.coeffs)
+        cd, pd = _primitive(d.coeffs)
+        pa, pd = _cancel(pa, pd)
+        pc, pb = _cancel(pc, pb)
+        # products of primitive polynomials are primitive (Gauss)
+        f = object.__new__(RatFunc)
+        f._settle(ca * cc, (_raw(pa) * _raw(pc)).coeffs, cb * cd, (_raw(pb) * _raw(pd)).coeffs)
+        return f
 
     def __rtruediv__(self, other) -> "RatFunc":
         return as_ratfunc(other) / self

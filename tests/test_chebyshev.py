@@ -60,6 +60,9 @@ def test_cf_iterative_examples():
     assert cf_iterative(1, ZERO) == RF_ONE
     assert cf_iterative(3, ZERO) == RatFunc(Poly([1, -1]), Poly([1, -2]))
     assert cf_iterative(2, ONE_PLUS_X) == RatFunc(Poly([1, -1, -1]), Poly([1, -2, -1]))
+    # E = 1/(x + x^2): the step (x + x^2)/x^2 shares x and reduces to (1 + x)/x
+    step = cf_iterative(1, RatFunc(Poly([1]), Poly([0, 1, 1])))
+    assert (step.num.coeffs, step.den.coeffs) == ((1, 1), (0, 1))
     with pytest.raises(IndexOutOfRange):
         cf_iterative(-1, ZERO)
 
@@ -106,6 +109,28 @@ def test_cf_closed_skips_the_gcd_only_where_coprimality_is_proved(k, num, den0, 
         closed = cf_closed(k, e)
     assert closed == RatFunc(cf_denominator(k - 1, e), cf_denominator(k, e))
     assert spy.called == (e.den.coefficient(0) != 0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(k=st.integers(1, 12), num=st.lists(_small, max_size=4),
+       den0=st.sampled_from([1, 0, 2, -1, -3]), den_rest=st.lists(_small, max_size=3))
+@example(k=3, num=[1], den0=0, den_rest=[1, 1])  # E = 1/(x + x^2): the first step shares x
+def test_cf_iterative_skips_the_gcd_only_where_coprimality_is_proved(k, num, den0, den_rest):
+    # k literal steps on the full gcd path, counting those from a d with d(0) != 0
+    den = Poly([den0] + den_rest)
+    assume(not den.is_zero())
+    e = r = RatFunc(Poly(num), den)
+    coprime_steps = 0
+    for _ in range(k):
+        step_den = r.den - P_X * r.num
+        assume(not step_den.is_zero())
+        coprime_steps += r.den.coefficient(0) != 0
+        r = RatFunc(r.den, step_den)
+    with mock.patch.object(RatFunc, "from_coprime", side_effect=RatFunc.from_coprime) as spy:
+        assert cf_iterative(k, e) == r
+    assert spy.call_count == coprime_steps
+    # a chain from den(E)(0) != 0 takes no gcd at all
+    assert (spy.call_count == k) == (e.den.coefficient(0) != 0)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

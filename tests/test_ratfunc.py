@@ -5,6 +5,7 @@ import pickle
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,7 @@ from patgf import (
     census,
     poly_gcd,
 )
+from patgf import ratfunc
 from patgf.perms import PATTERN_132 as P132
 
 X = Poly([0, 1])
@@ -399,6 +401,22 @@ _factor = st.tuples(st.lists(st.integers(-4, 4), min_size=1, max_size=6),
                     st.integers(1, 3) | st.integers(-3, -1))
 
 
+def _henrici(op, f, g):
+    """op(f, g), checking that no gcd it takes is of a polynomial of higher
+    degree than the four operand polynomials: each cancels across the factors."""
+    degrees, prs_gcd = [], ratfunc._prs_gcd
+
+    def spy(a, b):
+        degrees.extend((len(a) - 1, len(b) - 1))
+        return prs_gcd(a, b)
+
+    with mock.patch.object(ratfunc, "_prs_gcd", spy):
+        out = op(f, g)
+    top = max(p.degree for p in (f.num, f.den, g.num, g.den))
+    assert max(degrees, default=0) <= top, (f, g, degrees)
+    return out
+
+
 def _ref_product(factors):
     out = (Fraction(1),)
     for body, lead in factors:
@@ -452,7 +470,15 @@ def test_ratfunc_matches_the_fraction_reference(a, b, common, content):
     fn, fd = want
     cases = [(f + g, _ref_add(_ref_mul(fn, gd), _ref_mul(gn, fd)), _ref_mul(fd, gd)),
              (f - g, _ref_add(_ref_mul(fn, gd), _ref_mul(gn, fd), -1), _ref_mul(fd, gd)),
-             (f * g, _ref_mul(fn, gn), _ref_mul(fd, gd))]
+             (_henrici(RatFunc.__mul__, f, g), _ref_mul(fn, gn), _ref_mul(fd, gd))]
+    # Henrici products whose cross pairs share `shared`: (shared*a)/g_den
+    # times b/(shared*g_den), and the quotient by the second's inverse
+    u_num, v_den = _ref_mul(shared, ra), _ref_mul(shared, g_den)
+    u, v = RatFunc(_int_poly(u_num), _int_poly(g_den)), RatFunc(pb, _int_poly(v_den))
+    cross = (_ref_mul(u_num, rb), _ref_mul(g_den, v_den))
+    cases += [(_henrici(RatFunc.__mul__, u, v), *cross), (_henrici(RatFunc.__mul__, v, u), *cross)]
+    if rb:
+        cases.append((_henrici(RatFunc.__truediv__, u, RatFunc(_int_poly(v_den), pb)), *cross))
     # constant factors, zero included, on either side
     for c in (0, b[0] if b else 1):
         cases += [(f * c, _ref_mul(fn, (Fraction(c),)), fd),
@@ -462,7 +488,9 @@ def test_ratfunc_matches_the_fraction_reference(a, b, common, content):
     cases += [(f * q, _ref_mul(fn, (Fraction(content, content + 1),)), fd),
               (q * g, _ref_mul(gn, (Fraction(content, content + 1),)), gd)]
     if gn:
-        cases.append((f / g, _ref_mul(fn, gd), _ref_mul(fd, gn)))
+        cases.append((_henrici(RatFunc.__truediv__, f, g), _ref_mul(fn, gd), _ref_mul(fd, gn)))
+    if fn:
+        assert f / f == RF_ONE and f * (RF_ONE / f) == RF_ONE
     for got, wn, wd in cases:
         want_n, want_d = _over_z(*_ref_canonical(wn, wd))
         assert _agrees(got.num, want_n) and _agrees(got.den, want_d)
