@@ -70,6 +70,11 @@ class CanonicalDecomposition(NamedTuple):
         return tuple(out)
 
 
+def holds_132(p: Pattern) -> bool:
+    """Whether p contains 132, so that no 132-avoiding permutation holds p."""
+    return contains(p, PATTERN_132)
+
+
 def decompose(p: Pattern) -> CanonicalDecomposition:
     """Canonical decomposition of a nonempty 132-avoiding permutation.
 
@@ -81,7 +86,7 @@ def decompose(p: Pattern) -> CanonicalDecomposition:
     """
     if not p:
         raise PreconditionViolated("cannot decompose the empty permutation")
-    if contains(p, PATTERN_132):
+    if holds_132(p):
         raise Not132Avoiding(f"pattern {p} contains 132")
     positions = rtl_maxima(p)
     starts = (0,) + tuple(i + 1 for i in positions[:-1])  # where each block begins

@@ -3,11 +3,10 @@
 Every query here is implicitly confined to the 132-avoiding class: the
 generating function for an avoid-set A and exactly-once set B counts, by
 length, the permutations that avoid 132 and everything in A while containing
-each pattern of B exactly once.  All patterns supplied must themselves avoid
-132 (their canonical block decomposition drives the recursion).  The query
-is checked once: `perms.PatternQuery` rejects a pattern that is not a
-permutation and overlapping sets, and `decompose` rejects a pattern that
-holds 132 when the query's `PatternAlgebra` decomposes it.
+each pattern of B exactly once.  So at entry an avoided pattern that holds
+132 is dropped, and an exactly-once one makes the count 0; the canonical
+block decompositions of the patterns left drive the recursion.  The one
+check of a query is `perms.PatternQuery`.
 
 The recursion is the block decomposition of a nonempty 132-avoiding
 permutation p around its largest entry n: p = (p', n, p'') where every value
@@ -54,15 +53,10 @@ the entry n.  A pair holds the state itself on at most one side, so this is
 one linear equation per state, solved once by `_evaluate`.
 
 The patterns of one query and the tests on them live in a `PatternAlgebra`,
-which `avoid_contain_gf` builds and `_evaluate` and `_child_pairs` hand
-down.  It numbers every pattern a state can hold with a small int, in
-canonical order, so a `GfState` is two sorted id tuples; it keeps each
-pattern's rows in ids, and memoises one pairwise occurrence count, capped
-at 2, and the canonicalisation `make`.  It lives for one query and no
-longer.
+which `avoid_contain_gf` builds for that query alone and `_evaluate` and
+`_child_pairs` hand down; its docstring says what it numbers and memoises.
 
-The b=1 reading above is pinned by the exhaustive census: the verification
-battery compares every engine output against brute-force counts.
+The census pins the b=1 reading: verify holds every engine output to it.
 """
 
 from __future__ import annotations
@@ -71,7 +65,7 @@ import itertools
 from typing import Iterable, NamedTuple
 
 from .chebyshev import catalan_poly, cf_closed, cf_denominator, reduced_w
-from .decompose import CanonicalDecomposition, decompose
+from .decompose import CanonicalDecomposition, decompose, holds_132
 from .errors import PreconditionViolated
 from .perms import Pattern, PatternQuery, canonical_patterns, count_occurrences
 from .ratfunc import P_ONE, P_X, P_ZERO, RF_ZERO, Poly, RatFunc
@@ -96,16 +90,15 @@ class PatternAlgebra:
     `decompose`'s cuts holds them all.  The ids number that closure in
     `canonical_patterns` order: the empty pattern is 0, and a sorted id
     tuple lists its patterns in canonical order.  The case rows of each
-    (pattern, exactly-once or not), the pairwise occurrence counts and
-    `make` are memoised as they are first asked for.  `avoid_contain_gf`
-    builds one algebra per query, and it goes when the query returns.
+    (pattern, exactly-once or not), the pairwise occurrence counts capped
+    at 2 and `make` are memoised as they are first asked for.
     """
 
     EMPTY = 0
 
     def __init__(self, patterns: Iterable[Pattern]):
         closure: dict[Pattern, CanonicalDecomposition | None] = {(): None}
-        todo = list(patterns)[::-1]  # so the first that holds 132 is named
+        todo = list(patterns)
         while todo:
             t = todo.pop()
             if t not in closure:
@@ -377,20 +370,26 @@ def _over_common_denominator(groups: dict) -> tuple[Poly, list[Poly]]:
 
 def avoid_set_gf(patterns: Iterable[Pattern]) -> RatFunc:
     """Generating function for avoiding every pattern in the set (plus the
-    ambient 132).  Patterns must avoid 132; a pattern that holds another
-    avoided one is redundant and reduced away, not rejected."""
+    ambient 132).  A pattern that holds 132 or another avoided one is
+    redundant and reduced away, not rejected."""
     return avoid_contain_gf(patterns, ())
 
 
 def avoid_contain_gf(avoid: Iterable[Pattern], exactly_once: Iterable[Pattern]) -> RatFunc:
     """Generating function for avoiding A while containing each pattern of B
-    exactly once (all within the 132-avoiding class)."""
+    exactly once (all within the 132-avoiding class).
+
+    >>> avoid_contain_gf([(1, 4, 3, 2), (1, 2, 3)], []) == avoid_set_gf([(1, 2, 3)])
+    True
+    >>> avoid_contain_gf([], [(1, 4, 3, 2)])
+    RatFunc(0)
+    """
     query = PatternQuery(avoid, exactly_once)
-    a, b = query.avoid, query.exactly_once
-    if not a and not b:
-        raise PreconditionViolated("at least one pattern is required")
-    algebra = PatternAlgebra(a + b)
-    state = algebra.state(a, b)
+    if any(map(holds_132, query.exactly_once)):
+        return RF_ZERO
+    a = tuple(t for t in query.avoid if not holds_132(t))
+    algebra = PatternAlgebra(a + query.exactly_once)
+    state = algebra.state(a, query.exactly_once)
     if state is None:
         return RF_ZERO
     if not state.avoid and not state.exactly_once:
@@ -404,11 +403,7 @@ def avoid_contain_gf(avoid: Iterable[Pattern], exactly_once: Iterable[Pattern]) 
 # ---------------------------------------------------------------------------
 
 def ulk_members(k: int, l: int) -> tuple[Pattern, ...]:
-    """All l! length-k patterns whose last k-l entries are l+1, ..., k.
-
-    For l >= 3 some members hold 132, which the engine rejects; under the
-    ambient 132 they are redundant, so the engine takes the Catalan(l)
-    members that avoid 132."""
+    """All l! length-k patterns whose last k-l entries are l+1, ..., k."""
     if not 1 <= l <= k:
         raise PreconditionViolated(f"need 1 <= l <= k, got l={l}, k={k}")
     tail = tuple(range(l + 1, k + 1))

@@ -335,7 +335,7 @@ def suite_recurrence(census: CensusReader) -> list[Check]:
         name = f"recurrence vs census (extra): avoid {avoid} once {once}"
         checks.append(_series_check(name, avoid_contain_gf(avoid, once),
                                     avoid, once, extra_n, census))
-    for l in (1, 2):
+    for l in (1, 2, 3):
         for k in range(l, 7):
             name = f"recurrence == catalog for tail family k={k}, l={l}"
             checks.append(_check(name, ulk_avoid_gf(k, l), avoid_set_gf(ulk_members(k, l))))

@@ -179,10 +179,20 @@ def test_exit_code_too_large(capsys):
 
 
 def test_exit_code_engine_error(capsys):
-    code, _, err = run(capsys, "gf", "recurrence", "--avoid", "132")
-    assert code == 4 and "Not132Avoiding" in err
-    code, _, err = run(capsys, "gf", "recurrence", "--avoid", "")
-    assert code == 4
+    # inside the 132 class, avoiding 132 restricts as little as no pattern
+    unrestricted = ("error: PreconditionViolated: constraints reduce to the unrestricted "
+                    "class, which is not rational\n")
+    for avoid in ("132", ""):
+        assert run(capsys, "gf", "recurrence", "--avoid", avoid) == (4, "", unrestricted), avoid
+
+
+def test_gf_recurrence_reduces_patterns_that_hold_132(capsys):
+    # an avoided 132-holder excludes nothing; one required once makes the count 0
+    assert run(capsys, "gf", "recurrence", "--avoid", "1432;123") \
+        == run(capsys, "gf", "recurrence", "--avoid", "123") == (0, "(1 - x)/(1 - 2*x)\n", "")
+    assert run(capsys, "gf", "recurrence", "--exactly-once", "1432") == (0, "0\n", "")
+    assert run(capsys, "gf", "recurrence", "--avoid", "12", "--exactly-once", "1432") \
+        == (0, "0\n", "")
 
 
 def test_gf_examples(capsys):

@@ -5,7 +5,8 @@ import importlib
 
 
 def test_doctests():
-    for name in ("patgf.perms", "patgf.ratfunc", "patgf.chebyshev", "patgf.decompose"):
+    for name in ("patgf.perms", "patgf.ratfunc", "patgf.chebyshev", "patgf.decompose",
+                 "patgf.engine"):
         module = importlib.import_module(name)
         result = doctest.testmod(module, verbose=False)
         assert result.failed == 0, name

@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from patgf import (
-    Not132Avoiding,
     P_ONE,
     P_X,
     PatternQuery,
@@ -46,6 +45,7 @@ from patgf.verify import AVOID_BATTERY, EXACT_BATTERY, EXTRA_EXACT_BATTERY
 AVOIDERS_TO_5 = [p for n in range(1, 6) for p in itertools.permutations(range(1, n + 1))
                  if not contains(p, P132)]
 AVOIDERS_TO_4 = [p for p in AVOIDERS_TO_5 if len(p) <= 4]
+UNRESTRICTED = r"^constraints reduce to the unrestricted class, which is not rational$"
 
 
 def oracle_series(avoid, once, n_max, extra_avoid=(P132,)):
@@ -126,9 +126,10 @@ def test_avoid_redundant_patterns_reduce():
 def test_avoid_errors():
     with pytest.raises(PreconditionViolated):
         avoid_set_gf([])
-    with pytest.raises(Not132Avoiding):
+    # inside the 132 class a pattern that holds 132 excludes nothing
+    with pytest.raises(PreconditionViolated, match=UNRESTRICTED):
         avoid_set_gf([P132])
-    with pytest.raises(Not132Avoiding):
+    with pytest.raises(PreconditionViolated, match=UNRESTRICTED):
         avoid_set_gf([(2, 4, 3, 1)])
     with pytest.raises(PreconditionViolated):
         avoid_set_gf([(1, 2, 2)])
@@ -176,30 +177,34 @@ def test_exact_errors():
         avoid_contain_gf([(1, 2)], [(1, 2)])
     with pytest.raises(PreconditionViolated):
         avoid_contain_gf([], [])
-    with pytest.raises(Not132Avoiding):
-        avoid_contain_gf([], [P132])
+    assert avoid_contain_gf([], [P132]) == RF_ZERO  # no 132-avoider holds 132
     with pytest.raises(PreconditionViolated):
         avoid_contain_gf([], [()])  # reduces to the unrestricted class
 
 
-@pytest.mark.parametrize("avoid, once, error, message", [
+@pytest.mark.parametrize("avoid, once, error, want", [
     ([(1, 2, 2)], [], PreconditionViolated, r"\(1, 2, 2\) is not a permutation"),
     ([], [(2, 3)], PreconditionViolated, r"\(2, 3\) is not a permutation"),
-    ([(2, 4, 3, 1)], [], Not132Avoiding, r"^pattern \(2, 4, 3, 1\) contains 132$"),
-    ([], [P132], Not132Avoiding, r"^pattern \(1, 3, 2\) contains 132$"),
-    # the first in canonical order is named, the avoid set before the other
-    ([(2, 4, 3, 1), P132], [(1,)], Not132Avoiding, r"^pattern \(1, 3, 2\) contains 132$"),
-    ([(2, 4, 3, 1)], [P132], Not132Avoiding, r"^pattern \(2, 4, 3, 1\) contains 132$"),
+    # a pattern that holds 132 is no fault: avoided, it is dropped, and
+    # required once, it makes the count 0, in whatever company
+    ([(2, 4, 3, 1)], [], PreconditionViolated, UNRESTRICTED),
+    ([], [P132], None, RF_ZERO),
+    ([(2, 4, 3, 1), P132], [(1,)], None, RF_X),
+    ([(2, 4, 3, 1)], [P132], None, RF_ZERO),
     ([(1, 2)], [(2, 1), (1, 2)], PreconditionViolated,
      r"^avoid and exactly-once sets must be disjoint$"),
-    ([], [], PreconditionViolated, r"^at least one pattern is required$"),
-    ([], [()], PreconditionViolated, r"^constraints reduce to the unrestricted class"),
+    ([], [], PreconditionViolated, UNRESTRICTED),
+    ([], [()], PreconditionViolated, UNRESTRICTED),
 ], ids=["avoid-not-permutation", "once-not-permutation", "avoid-holds-132", "once-holds-132",
         "first-132-holder-named", "avoid-132-holder-named-first", "overlap", "no-pattern",
         "once-empty-pattern"])
-def test_engine_rejects_each_single_fault(avoid, once, error, message):
-    # one fault, one error class and one message, whichever set holds it
-    with pytest.raises(error, match=message):
+def test_engine_rejects_each_single_fault(avoid, once, error, want):
+    # one fault, one error class and one message (`want`), whichever set
+    # holds it; with no error, `want` is the result
+    if error is None:
+        assert avoid_contain_gf(avoid, once) == want
+        return
+    with pytest.raises(error, match=want):
         avoid_contain_gf(avoid, once)
 
 
@@ -596,8 +601,7 @@ def test_pattern_algebra_is_per_query(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
-    members = [t for t in ulk_members(5, 3) if not contains(t, P132)]
-    for run in (lambda: avoid_set_gf(members),
+    for run in (lambda: avoid_set_gf(ulk_members(5, 3)),
                 lambda: avoid_contain_gf([(2, 1, 3)], [(1, 2, 3), (2, 3, 1)])):
         counts = []
         for _ in range(2):
@@ -629,11 +633,9 @@ def test_ulk_avoid_gf_examples():
 
 
 def test_ulk_catalog_matches_recurrence():
-    # avoid_set_gf rejects members that contain 132; the ambient 132 excludes them anyway
     for l in range(1, 7):
         for k in range(l, 8):
-            members = [t for t in ulk_members(k, l) if not contains(t, P132)]
-            assert ulk_avoid_gf(k, l) == avoid_set_gf(members), (k, l)
+            assert ulk_avoid_gf(k, l) == avoid_set_gf(ulk_members(k, l)), (k, l)
 
 
 def test_ulk_exact_once_examples():
@@ -712,6 +714,30 @@ def test_u2k_engine_matches_oracle():
 def test_engine_matches_census_on_random_queries(avoid, once):
     assume(not set(avoid) & set(once))
     assert engine_series(avoid, once, 7) == oracle_series(avoid, once, 7), (avoid, once)
+
+
+_ALL_2_TO_5 = [p for n in range(2, 6) for p in itertools.permutations(range(1, n + 1))]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(holder=st.sampled_from([t for t in _ALL_2_TO_5 if contains(t, P132)]),
+       others=st.lists(st.sampled_from(_ALL_2_TO_5), max_size=3, unique=True),
+       roles=st.lists(st.sampled_from((False, False, True)), min_size=4, max_size=4))
+def test_engine_reduces_patterns_that_hold_132_in_every_role(holder, others, roles):
+    # inside the 132 class, the engine's answer is the census's with 132
+    # avoided; roles[i] puts pattern i in the exactly-once set, one time in 3
+    patterns = list(dict.fromkeys([holder] + others))
+    avoid = [t for t, required in zip(patterns, roles) if not required]
+    once = [t for t, required in zip(patterns, roles) if required]
+    if not once and all(contains(t, P132) for t in avoid):
+        with pytest.raises(PreconditionViolated, match=UNRESTRICTED):
+            avoid_contain_gf(avoid, once)
+        return
+    f = avoid_contain_gf(avoid, once)
+    if any(contains(t, P132) for t in once):
+        assert f == RF_ZERO, (avoid, once)
+    if P132 not in once:  # else 132 would be both avoided and required once
+        assert f.series(8).as_ints() == oracle_series(avoid, once, 8), (avoid, once)
 
 
 def _inverse(t):

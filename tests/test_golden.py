@@ -22,8 +22,10 @@ only.  Recounting the file takes about 13 s of CPU, so that test is marked
 `deep` and runs only under `pytest -m deep`.
 
 `golden_verify.json` is the stdout of `patgf verify --suite all --json
---max-n 9`, recorded at commit fa15b42: 74 checks, exit code 1 for the
-known k = 5 closed-sum check.  The report stays byte-identical.
+--max-n 9`, recorded at commit fa15b42 and re-recorded on f3b8a72 when the
+recurrence suite gained its four l = 3 "recurrence == catalog" checks: 78
+checks, exit code 1 for the known k = 5 closed-sum check.  The report stays
+byte-identical.
 """
 
 import json
